@@ -18,6 +18,7 @@ from .errors import AutomatonError, ConfigBudgetExceeded, ParseError
 from .gadgets import (
     GADGET_NAMES,
     build_gadget,
+    separation_instance,
     separation_witness,
     separation_witness_dprime,
 )
@@ -33,7 +34,6 @@ from .turing import TmReductionParams, encode_computation, reduce_tm
 from .wordproblem import (
     EQUAL,
     NOT_EQUAL,
-    WordProblemInstance,
     decide,
     oracle_decide,
 )
@@ -127,20 +127,10 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_gadget(args) -> int:
-    automaton = build_gadget(args.name)
     if args.n is None:
-        print(serialize_automaton(automaton), end="")
-        return 0
-    if args.n < 1:
-        raise ValueError("-n must be at least 1")
-    if args.name == "dual-adding":
-        lhs, rhs = ["0"] * args.n, ["0"] * (args.n - 1)
-    elif args.name == "dual-adding-prime":
-        lhs, rhs = ["0"] * (args.n - 1), ["q"]
+        print(serialize_automaton(build_gadget(args.name)), end="")
     else:
-        raise ValueError("-n only applies to the dual-adding gadgets")
-    inst = WordProblemInstance(automaton, lhs, rhs)
-    print(serialize_instance(inst), end="")
+        print(serialize_instance(separation_instance(args.name, args.n)), end="")
     return 0
 
 

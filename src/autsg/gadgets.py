@@ -13,9 +13,10 @@ Five small machines, each interesting for a different reason:
 * the same dual extended by a constant state q.
 
 The counter behaviour gives word-problem instances whose shortest witnesses
-have length exponential in the sequence length; separation_witness and
-separation_witness_dprime build those instances, run the decision procedure
-and assert the expected 2**(n-1) witness length.
+have length exponential in the sequence length; separation_instance builds
+those instances, and separation_witness and separation_witness_dprime run
+the decision procedure on them and assert the expected 2**(n-1) witness
+length.
 """
 
 from __future__ import annotations
@@ -151,18 +152,25 @@ def counter_sequence(value: int, width: int) -> StateSequence:
     return StateSequence(reversed(digits))
 
 
-def _separation(
-    automaton: MealyAutomaton,
-    lhs: StateSequence,
-    rhs: StateSequence,
-    n: int,
-    max_configs: int | None,
-) -> tuple[int, Word]:
+def separation_instance(name: str, n: int) -> WordProblemInstance:
+    """The n-th exponential-separation instance on a dual-adding gadget: n
+    copies of state 0 against n-1 on dual-adding, n-1 copies of state 0
+    against the constant state q on dual-adding-prime."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    verdict = decide(
-        WordProblemInstance(automaton, lhs, rhs), max_configs=max_configs
-    )
+    if name == "dual-adding":
+        lhs, rhs = ["0"] * n, ["0"] * (n - 1)
+    elif name == "dual-adding-prime":
+        lhs, rhs = ["0"] * (n - 1), ["q"]
+    else:
+        raise ValueError(
+            f"separation instances exist only for the dual-adding gadgets, not {name!r}"
+        )
+    return WordProblemInstance(build_gadget(name), lhs, rhs)
+
+
+def _separation(name: str, n: int, max_configs: int | None) -> tuple[int, Word]:
+    verdict = decide(separation_instance(name, n), max_configs=max_configs)
     assert verdict.kind == NOT_EQUAL and verdict.witness is not None
     length = len(verdict.witness)
     assert length == 2 ** (n - 1), (
@@ -176,14 +184,7 @@ def separation_witness(n: int, max_configs: int | None = None) -> tuple[int, Wor
     dual adding machine. Returns (length, witness) with length asserted to
     be 2**(n-1): the two sides are width-n and width-(n-1) counters that
     first disagree when the narrow one overflows."""
-    d = build_gadget("dual-adding")
-    return _separation(
-        d,
-        StateSequence(["0"] * n),
-        StateSequence(["0"] * (n - 1)),
-        n,
-        max_configs,
-    )
+    return _separation("dual-adding", n, max_configs)
 
 
 def separation_witness_dprime(
@@ -193,11 +194,4 @@ def separation_witness_dprime(
     state q, on the extended dual adding machine. Returns (length, witness)
     with length asserted to be 2**(n-1): q always emits b, the counter first
     emits a when it overflows."""
-    dp = build_gadget("dual-adding-prime")
-    return _separation(
-        dp,
-        StateSequence(["0"] * (n - 1)),
-        StateSequence(["q"]),
-        n,
-        max_configs,
-    )
+    return _separation("dual-adding-prime", n, max_configs)

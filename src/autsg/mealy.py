@@ -10,6 +10,12 @@ first; that convention is global to the package and everything downstream
 Partiality is first-class: transitions may be missing, and acting on a word
 either yields Defined(output, advanced sequence) or UndefinedAt(index of the
 offending input letter).
+
+This module owns the two stepping kernels the rest of the package uses:
+_thread, how a sequence of signed states consumes one letter (behind
+act_step, act_word and the word-problem search), and _subset_step, how a
+constraint acceptor's state subset reads one letter (behind acceptor_step,
+acceptor_accepts and the search).
 """
 
 from __future__ import annotations
@@ -52,8 +58,6 @@ def as_word(letters: Iterable[Letter] | str) -> Word:
     """Coerce a word argument. A plain str is split into characters, which is
     convenient for single-character alphabets; multi-character tokens must be
     passed as an iterable of tokens."""
-    if isinstance(letters, str):
-        return tuple(letters)
     return tuple(letters)
 
 
@@ -251,22 +255,83 @@ class Acceptor:
         return m
 
 
+def _subset_step(
+    step_map: Mapping[tuple[State, Letter], set[State]],
+    subset: Iterable[State],
+    letter: Letter,
+) -> frozenset[State]:
+    """The subset-construction step over an Acceptor.step_map(): every state
+    some member of subset reaches on letter."""
+    nxt: set[State] = set()
+    for q in subset:
+        nxt.update(step_map.get((q, letter), ()))
+    return frozenset(nxt)
+
+
 def acceptor_step(acc: Acceptor, subset: frozenset[State], letter: Letter) -> frozenset[State]:
     """One subset-construction step."""
-    out: set[State] = set()
-    for (q, a, p) in acc.transitions:
-        if a == letter and q in subset:
-            out.add(p)
-    return frozenset(out)
+    return _subset_step(acc.step_map(), subset, letter)
 
 
 def acceptor_accepts(acc: Acceptor, word: Iterable[Letter] | str) -> bool:
+    step_map = acc.step_map()
     cur = acc.initial
     for a in as_word(word):
-        cur = acceptor_step(acc, cur, a)
+        cur = _subset_step(step_map, cur, a)
         if not cur:
             return False
     return bool(cur & acc.final)
+
+
+def _check_invertible(automaton: MealyAutomaton, q: State) -> None:
+    """Raise NotInverseDeterministic unless the transitions out of q emit
+    pairwise distinct letters, i.e. unless ~q is a well-defined item."""
+    outs = [
+        hit[0]
+        for a in automaton.alphabet
+        if (hit := automaton.transitions.get((q, a))) is not None
+    ]
+    if len(outs) != len(set(outs)):
+        raise NotInverseDeterministic(
+            f"state {q!r} of {automaton.name} emits some letter on more than "
+            f"one transition, so ~{q} is not defined"
+        )
+
+
+def _thread(
+    automaton: MealyAutomaton, items: list[SignedState], letter: Letter
+) -> Letter | None:
+    """The letter-threading kernel behind act_step, act_word and the
+    word-problem search: advance items in place by one input letter,
+    rightmost item first, each item stepping as act_step describes and its
+    output feeding the item to its left. Returns the leftmost output (the
+    letter itself for no items), or None where the action is undefined,
+    leaving items partly advanced."""
+    trans = automaton.transitions
+    for i in range(len(items) - 1, -1, -1):
+        s = items[i]
+        if not s.inverted:
+            hit = trans.get((s.base, letter))
+            if hit is None:
+                return None
+            letter, nxt = hit
+            items[i] = SignedState(nxt)
+            continue
+        found = None
+        for a in automaton.alphabet:
+            hit = trans.get((s.base, a))
+            if hit is not None and hit[0] == letter:
+                if found is not None:
+                    raise NotInverseDeterministic(
+                        f"state {s.base!r} of {automaton.name} emits {letter!r} "
+                        "on more than one transition"
+                    )
+                found = (a, hit[1])
+        if found is None:
+            return None
+        letter = found[0]
+        items[i] = SignedState(found[1], inverted=True)
+    return letter
 
 
 def act_step(
@@ -280,30 +345,13 @@ def act_step(
     is ill-defined and NotInverseDeterministic is raised. Returns None where
     the (partial) map is undefined.
     """
-    s = _coerce_item(state)
+    items = [_coerce_item(state)]
     if letter not in automaton.alphabet:
         raise UnknownLetter(f"{letter!r} is not a letter of {automaton.name}")
-    if s.base not in automaton.states:
-        raise UnknownState(f"{s.base!r} is not a state of {automaton.name}")
-    if not s.inverted:
-        hit = automaton.transitions.get((s.base, letter))
-        if hit is None:
-            return None
-        out, nxt = hit
-        return out, SignedState(nxt)
-    found = None
-    for a in automaton.alphabet:
-        hit = automaton.transitions.get((s.base, a))
-        if hit is not None and hit[0] == letter:
-            if found is not None:
-                raise NotInverseDeterministic(
-                    f"state {s.base!r} of {automaton.name} emits {letter!r} "
-                    "on more than one transition"
-                )
-            found = (a, hit[1])
-    if found is None:
-        return None
-    return found[0], SignedState(found[1], inverted=True)
+    if items[0].base not in automaton.states:
+        raise UnknownState(f"{items[0].base!r} is not a state of {automaton.name}")
+    out = _thread(automaton, items, letter)
+    return None if out is None else (out, items[0])
 
 
 def act_word(
@@ -316,7 +364,8 @@ def act_word(
     Each input letter is threaded through the items right to left: the
     rightmost item transforms it, its output feeds the next item, and the
     leftmost item's output becomes the result letter. The empty sequence is
-    the identity.
+    the identity. Letters are checked one at a time, so an undefined letter
+    is reported before an unknown letter after it.
     """
     if not isinstance(seq, StateSequence):
         seq = StateSequence(seq)
@@ -324,28 +373,14 @@ def act_word(
     for s in items:
         if s.base not in automaton.states:
             raise UnknownState(f"{s.base!r} is not a state of {automaton.name}")
-    letters = as_word(word)
-    trans = automaton.transitions
+    alphabet = automaton.alphabet
     out: list[Letter] = []
-    for idx, letter in enumerate(letters):
-        cur = letter
-        for i in range(len(items) - 1, -1, -1):
-            s = items[i]
-            if not s.inverted:
-                hit = trans.get((s.base, cur))
-                if hit is None:
-                    if cur not in automaton.alphabet:
-                        raise UnknownLetter(f"{cur!r} is not a letter of {automaton.name}")
-                    return UndefinedAt(idx)
-                cur, nxt = hit
-                items[i] = SignedState(nxt)
-            else:
-                step = act_step(automaton, s, cur)
-                if step is None:
-                    return UndefinedAt(idx)
-                cur, items[i] = step
-        if not items and cur not in automaton.alphabet:
-            raise UnknownLetter(f"{cur!r} is not a letter of {automaton.name}")
+    for idx, letter in enumerate(as_word(word)):
+        if letter not in alphabet:
+            raise UnknownLetter(f"{letter!r} is not a letter of {automaton.name}")
+        cur = _thread(automaton, items, letter)
+        if cur is None:
+            return UndefinedAt(idx)
         out.append(cur)
     return Defined(tuple(out), StateSequence(items))
 

@@ -341,7 +341,7 @@ def _parse_instance(doc: DocumentSet, rows, i: int) -> int:
                 raise ParseError("constraint line needs exactly one name", lineno)
             constraints.append(toks[1])
         elif toks[0] == "budget":
-            if len(toks) != 2 or not toks[1].isdigit() or int(toks[1]) < 1:
+            if len(toks) != 2 or not toks[1].isdecimal() or int(toks[1]) < 1:
                 raise ParseError("budget needs one positive integer", lineno)
             budget = int(toks[1])
         else:

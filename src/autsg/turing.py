@@ -187,25 +187,12 @@ def _validate_input_word(tm: TuringMachineSpec, params: TmReductionParams) -> No
             )
 
 
-@dataclass(frozen=True)
-class TauTable:
-    """Local evolution map on cell windows: defined exactly on windows with
-    at most one head token."""
-
-    table: Mapping[tuple[str, str, str], str]
-
-    def get(self, window: Iterable[str]) -> str | None:
-        return self.table.get(tuple(window))
-
-    def __len__(self) -> int:
-        return len(self.table)
-
-
-def derive_tau(tm: TuringMachineSpec) -> TauTable:
+def derive_tau(tm: TuringMachineSpec) -> dict[tuple[str, str, str], str]:
     """The middle cell of a window after one step, as a function of the
     window alone: a head on the middle rewrites (and stays only on N), a
     head on the left arrives exactly on R, a head on the right arrives
-    exactly on L, and otherwise the middle is untouched."""
+    exactly on L, and otherwise the middle is untouched. Defined exactly on
+    the windows with at most one head token."""
     delta = delta_alphabet(tm)
     table: dict[tuple[str, str, str], str] = {}
     for window in itertools.product(delta, repeat=3):
@@ -224,7 +211,7 @@ def derive_tau(tm: TuringMachineSpec) -> TauTable:
             table[window] = head_token(y, nxt) if move == "R" else y
         else:
             table[window] = head_token(y, nxt) if move == "L" else y
-    return TauTable(table)
+    return table
 
 
 # ---------------------------------------------------------------------------

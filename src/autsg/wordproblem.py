@@ -13,7 +13,9 @@ acceptor subset meets its final states and either both sides are alive with
 diverged outputs or exactly one side is alive. Deduplication is sound because
 the witness predicate and the successor relation depend only on the
 configuration, and breadth-first order with letter-sorted expansion makes the
-returned witness the length-then-lex least one.
+returned witness the length-then-lex least one. This module only searches:
+how a side consumes a letter (mealy._thread) and how a constraint subset
+steps (mealy._subset_step) are the kernels in mealy.py.
 
 oracle_decide() answers the same question bounded by a word length. Its
 default implementation is the same deduplicated search cut at that depth,
@@ -37,11 +39,12 @@ from .mealy import (
     Defined,
     MealyAutomaton,
     SeqItem,
-    SignedState,
     StateSequence,
     Word,
+    _check_invertible,
+    _subset_step,
+    _thread,
     acceptor_accepts,
-    act_step,
     act_word,
 )
 
@@ -68,6 +71,10 @@ UNDEFINED = _UndefinedType()
 
 @dataclass(frozen=True)
 class WordProblemInstance:
+    """Two sequences over one automaton and the constraint acceptors. An
+    inverted item ~q whose state q emits some letter on more than one
+    transition is rejected here with NotInverseDeterministic."""
+
     automaton: MealyAutomaton
     lhs: StateSequence
     rhs: StateSequence
@@ -91,6 +98,8 @@ class WordProblemInstance:
                     raise ValueError(
                         f"sequence item {item!r} is not a state of {automaton.name}"
                     )
+                if item.inverted:
+                    _check_invertible(automaton, item.base)
         for acc in constraints:
             if acc.alphabet != automaton.alphabet:
                 raise ValueError(
@@ -125,31 +134,6 @@ def config_bound(inst: WordProblemInstance) -> int:
     for acc in inst.constraints:
         bound *= 2 ** len(acc.states)
     return bound
-
-
-def _advance_side(automaton, items, letter):
-    """Thread one input letter through a side, rightmost item first.
-    items is a tuple of SignedState or None for an already-dead side.
-    Returns (new items or None, output letter or None)."""
-    if items is None:
-        return None, None
-    cur = letter
-    new = list(items)
-    trans = automaton.transitions
-    for i in range(len(new) - 1, -1, -1):
-        s = new[i]
-        if not s.inverted:
-            hit = trans.get((s.base, cur))
-            if hit is None:
-                return None, None
-            cur, nxt = hit
-            new[i] = SignedState(nxt)
-        else:
-            step = act_step(automaton, s, cur)
-            if step is None:
-                return None, None
-            cur, new[i] = step
-    return tuple(new), cur
 
 
 def _is_witness(cfg, finals) -> bool:
@@ -199,19 +183,23 @@ def _search(
         lhs, rhs, subs, diverged = cfg
         for letter in letters:
             new_subs = []
-            empty_language = False
             for m, sub in zip(step_maps, subs):
-                nxt: set = set()
-                for q in sub:
-                    nxt.update(m.get((q, letter), ()))
+                nxt = _subset_step(m, sub, letter)
                 if not nxt:
-                    empty_language = True
                     break
-                new_subs.append(frozenset(nxt))
-            if empty_language:
+                new_subs.append(nxt)
+            if len(new_subs) < len(subs):
                 continue
-            lhs2, out_l = _advance_side(automaton, lhs, letter)
-            rhs2, out_r = _advance_side(automaton, rhs, letter)
+            # a dead side (None) stays dead; a side dies where it is undefined
+            lhs2 = rhs2 = out_l = out_r = None
+            if lhs is not None:
+                lhs2 = list(lhs)
+                out_l = _thread(automaton, lhs2, letter)
+                lhs2 = None if out_l is None else tuple(lhs2)
+            if rhs is not None:
+                rhs2 = list(rhs)
+                out_r = _thread(automaton, rhs2, letter)
+                rhs2 = None if out_r is None else tuple(rhs2)
             if lhs2 is None and rhs2 is None:
                 continue
             if lhs2 is not None and rhs2 is not None:

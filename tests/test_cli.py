@@ -281,6 +281,16 @@ def test_input_errors_exit_2(tmp_path, capsys):
     assert run(["decide", f4]) == 2
     errs = capsys.readouterr().err
     assert errs.count("error:") == 5
+    # ~r is undefined (r emits b twice): rejected at the instance's line
+    f5 = _write(
+        tmp_path,
+        "bi.inst",
+        serialize_automaton(build_gadget("bireversible"))
+        + "instance\nautomaton bireversible\nlhs ~r\nrhs s\nend\n",
+    )
+    assert run(["decide", f5]) == 2
+    err = capsys.readouterr().err
+    assert "line " in err and "~r" in err
 
 
 def test_subprocess_smoke(adding_file):

@@ -14,6 +14,7 @@ from autsg import (
     check_properties,
     counter_sequence,
     oracle_decide,
+    separation_instance,
     separation_witness,
     separation_witness_dprime,
 )
@@ -140,6 +141,8 @@ def test_separation_rejects_bad_n():
         separation_witness(0)
     with pytest.raises(ValueError):
         separation_witness_dprime(0)
+    with pytest.raises(ValueError):
+        separation_instance("adding", 2)
 
 
 def test_sides_agree_below_the_bound():

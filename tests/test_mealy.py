@@ -121,6 +121,8 @@ def test_act_word_undefined_index():
     assert act_word(FREE_PARTIAL, S("b", "a"), "aa") == UndefinedAt(0)
     assert act_word(FREE_PARTIAL, S("a", "b"), "ba") == UndefinedAt(1)
     assert act_word(FREE_PARTIAL, ["b"], "ba") == UndefinedAt(1)
+    # letters are checked in order: an undefined letter before an unknown one
+    assert act_word(FREE_PARTIAL, ["b"], ("a", "x")) == UndefinedAt(0)
 
 
 def test_act_word_threads_rightmost_first():
@@ -139,6 +141,10 @@ def test_act_word_validation():
         act_word(ADDING, ["+1"], "012")
     with pytest.raises(UnknownLetter):
         act_word(ADDING, [], "x")
+    with pytest.raises(UnknownLetter):
+        act_word(ADDING, S("~+1"), "0x")
+    with pytest.raises(NotInverseDeterministic):
+        act_word(FREE, [SignedState("a", inverted=True)], "a")
 
 
 # ----------------------------------------------------------- classification

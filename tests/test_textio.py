@@ -179,6 +179,7 @@ def test_serializer_refuses_percent_tokens():
         ("instance\nautomaton m\nlhs\nend\n", 1),
         ("instance\nautomaton m\nlhs\nrhs\nbudget x\nend\n", 5),
         ("instance\nautomaton m\nlhs\nrhs\nbudget 0\nend\n", 5),
+        ("instance\nautomaton m\nlhs\nrhs\nbudget \u00b2\nend\n", 5),
         ("tm t\ntape _\nstates z\ninitial z\nend\n", 1),
         ("tm t\ntape _\nblank _\nstates z\ninitial z\nrule z _ _ X z\nend\n", 6),
         ("acceptor a\nalphabet x\nstates s\ninitial s\nfinal\nt s x\nend\n", 6),
@@ -206,6 +207,15 @@ def test_resolution_errors():
     )
     with pytest.raises(ParseError, match="unknown acceptor"):
         doc3.resolve(doc3.instances[0])
+    # r emits b twice, so ~r is undefined: rejected at the instance line
+    doc4 = parse_text(
+        serialize_automaton(build_gadget("bireversible"))
+        + "instance\nautomaton bireversible\nlhs ~r\nrhs\nend\n"
+    )
+    with pytest.raises(ParseError, match="~r") as exc:
+        doc4.resolve(doc4.instances[0])
+    assert exc.value.line is not None
+    assert exc.value.line == doc4.instances[0].line
 
 
 def test_include_splices_and_dedupes(tmp_path):

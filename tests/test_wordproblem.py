@@ -18,6 +18,7 @@ from autsg import (
     EQUAL,
     MealyAutomaton,
     NOT_EQUAL,
+    NotInverseDeterministic,
     UNDEFINED,
     WordProblemInstance,
     build_gadget,
@@ -274,6 +275,17 @@ def test_decide_is_symmetric():
         assert a.witness == b.witness
         if a.kind == NOT_EQUAL:
             assert (a.lhs_value, a.rhs_value) == (b.rhs_value, b.lhs_value)
+
+
+@pytest.mark.parametrize("rhs", [S(), S("~r"), S("s")])
+def test_ill_posed_inversion_rejected_when_built(rhs):
+    # r emits b on two transitions, so ~r is undefined; the instance must
+    # fail when it is built, not answer or fail partway through the search
+    birev = build_gadget("bireversible")
+    with pytest.raises(NotInverseDeterministic):
+        WordProblemInstance(birev, S("~r"), rhs)
+    with pytest.raises(NotInverseDeterministic):
+        WordProblemInstance(birev, rhs, S("~r"))
 
 
 def test_empty_word_never_witnesses():
