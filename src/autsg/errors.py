@@ -29,7 +29,15 @@ class ReservedTokenCollision(AutomatonError):
 
 
 class ConfigBudgetExceeded(AutomatonError):
-    """decide() explored more configurations than the caller allowed."""
+    """decide() explored more configurations than the caller allowed.
+
+    configs is the number of configurations stored and depth the
+    breadth-first depth reached when the search stopped."""
+
+    def __init__(self, message: str, configs: int, depth: int):
+        self.configs = configs
+        self.depth = depth
+        super().__init__(f"{message} ({configs} stored, depth {depth} reached)")
 
 
 class MalformedDfa(AutomatonError):

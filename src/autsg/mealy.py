@@ -12,15 +12,17 @@ either yields Defined(output, advanced sequence) or UndefinedAt(index of the
 offending input letter).
 
 This module owns the two stepping kernels the rest of the package uses:
-_thread, how a sequence of signed states consumes one letter (behind
-act_step, act_word and the word-problem search), and _subset_step, how a
-constraint acceptor's state subset reads one letter (behind acceptor_step,
-acceptor_accepts and the search).
+_thread, how a sequence of signed states consumes one letter, on the integer
+_Table each automaton caches and fills row by row as states are first
+stepped (behind act_step, act_word and the word-problem search), and
+_subset_step, how a constraint acceptor's state subset reads one letter
+(behind acceptor_step, acceptor_accepts and the search).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import (
@@ -41,7 +43,7 @@ BOTTOM_LETTER = "_bot"
 def _check_letter_token(tok: str) -> None:
     if not isinstance(tok, str) or not tok:
         raise ValueError(f"letter token must be a non-empty string, got {tok!r}")
-    if any(c.isspace() for c in tok):
+    if tok.split() != [tok]:
         raise ValueError(f"letter token may not contain whitespace: {tok!r}")
     if tok.startswith("~"):
         raise ValueError(f"letter token may not begin with '~': {tok!r}")
@@ -50,7 +52,7 @@ def _check_letter_token(tok: str) -> None:
 def _check_state_token(tok: str) -> None:
     if not isinstance(tok, str) or not tok:
         raise ValueError(f"state name must be a non-empty string, got {tok!r}")
-    if any(c.isspace() for c in tok):
+    if tok.split() != [tok]:
         raise ValueError(f"state name may not contain whitespace: {tok!r}")
 
 
@@ -185,6 +187,11 @@ class MealyAutomaton:
             and dict(self.transitions) == dict(other.transitions)
         )
 
+    @cached_property
+    def _table(self) -> "_Table":
+        """The integer table every action steps through, made on first use."""
+        return _Table(self)
+
 
 @dataclass(frozen=True)
 class PropertyReport:
@@ -283,54 +290,85 @@ def acceptor_accepts(acc: Acceptor, word: Iterable[Letter] | str) -> bool:
     return bool(cur & acc.final)
 
 
-def _check_invertible(automaton: MealyAutomaton, q: State) -> None:
-    """Raise NotInverseDeterministic unless the transitions out of q emit
-    pairwise distinct letters, i.e. unless ~q is a well-defined item."""
-    outs = [
-        hit[0]
-        for a in automaton.alphabet
-        if (hit := automaton.transitions.get((q, a))) is not None
-    ]
-    if len(outs) != len(set(outs)):
-        raise NotInverseDeterministic(
-            f"state {q!r} of {automaton.name} emits some letter on more than "
-            f"one transition, so ~{q} is not defined"
-        )
+_AMBIGUOUS = object()
 
 
-def _thread(
-    automaton: MealyAutomaton, items: list[SignedState], letter: Letter
-) -> Letter | None:
-    """The letter-threading kernel behind act_step, act_word and the
-    word-problem search: advance items in place by one input letter,
-    rightmost item first, each item stepping as act_step describes and its
-    output feeding the item to its left. Returns the leftmost output (the
-    letter itself for no items), or None where the action is undefined,
-    leaving items partly advanced."""
-    trans = automaton.transitions
+class _Table:
+    """The integer view of a MealyAutomaton that every action steps through.
+    Letters index the sorted alphabet; signed state 2*i is state i, 2*i + 1
+    its inverse. rows[s] is None until s is first stepped, then holds per
+    letter (output letter, next signed state), None where undefined, or
+    _AMBIGUOUS where an inverse has several candidate transitions."""
+
+    def __init__(self, automaton: MealyAutomaton):
+        self.name, self.transitions = automaton.name, automaton.transitions
+        self.letters = sorted(automaton.alphabet)
+        self.letter_index = {a: i for i, a in enumerate(self.letters)}
+        self.states = list(automaton.states)
+        self.state_index = {q: i for i, q in enumerate(self.states)}
+        self.rows: list[list | None] = [None] * (2 * len(self.states))
+
+    def signed(self, item: SignedState) -> int:
+        i = self.state_index.get(item.base)
+        if i is None:
+            raise UnknownState(f"{item.base!r} is not a state of {self.name}")
+        return 2 * i + item.inverted
+
+    def item(self, s: int) -> SignedState:
+        return SignedState(self.states[s >> 1], bool(s & 1))
+
+    def row(self, s: int) -> list:
+        """Build, cache and return the row of signed state s."""
+        q, inverted = self.states[s >> 1], s & 1
+        trans, li, si = self.transitions, self.letter_index, self.state_index
+        row: list = [None] * len(self.letters)
+        for a, i in li.items():
+            hit = trans.get((q, a))
+            if hit is not None:
+                b, p = li[hit[0]], 2 * si[hit[1]] + inverted
+                if inverted:  # ~q reads what q emits and emits what q reads
+                    i, b = b, i
+                row[i] = (b, p) if row[i] is None else _AMBIGUOUS
+        self.rows[s] = row
+        return row
+
+    def check_inverse(self, item: SignedState) -> None:
+        """Raise NotInverseDeterministic if the inverted item reaches an
+        ambiguous row: when q reaches p by u and p emits one letter on both
+        a and b, q maps ua and ub alike, so ~q is not defined."""
+        start = self.signed(item)
+        seen, todo = {start}, [start]
+        while todo:
+            s = todo.pop()
+            for step in self.rows[s] or self.row(s):
+                if step is _AMBIGUOUS:
+                    raise NotInverseDeterministic(
+                        f"{item!r} is not defined: it reaches {self.item(s)!r} of "
+                        f"{self.name}, which has an ambiguous step"
+                    )
+                if step is not None and step[1] not in seen:
+                    seen.add(step[1])
+                    todo.append(step[1])
+
+
+def _thread(table: _Table, items: list[int], letter: int) -> int | None:
+    """The letter-threading kernel: advance the signed states items in place
+    by one input letter, rightmost item first, each output feeding the item
+    to its left. Returns the leftmost output (the letter itself for no
+    items), or None where the action is undefined, leaving items partly
+    advanced. Raises NotInverseDeterministic on an ambiguous inverse step."""
+    rows = table.rows
     for i in range(len(items) - 1, -1, -1):
         s = items[i]
-        if not s.inverted:
-            hit = trans.get((s.base, letter))
-            if hit is None:
-                return None
-            letter, nxt = hit
-            items[i] = SignedState(nxt)
-            continue
-        found = None
-        for a in automaton.alphabet:
-            hit = trans.get((s.base, a))
-            if hit is not None and hit[0] == letter:
-                if found is not None:
-                    raise NotInverseDeterministic(
-                        f"state {s.base!r} of {automaton.name} emits {letter!r} "
-                        "on more than one transition"
-                    )
-                found = (a, hit[1])
-        if found is None:
+        step = (rows[s] or table.row(s))[letter]
+        if step is None:
             return None
-        letter = found[0]
-        items[i] = SignedState(found[1], inverted=True)
+        if step is _AMBIGUOUS:
+            raise NotInverseDeterministic(
+                f"state {table.states[s >> 1]!r} of {table.name} emits "
+                f"{table.letters[letter]!r} on more than one transition"
+            )
+        letter, items[i] = step
     return letter
 
 
@@ -345,13 +383,13 @@ def act_step(
     is ill-defined and NotInverseDeterministic is raised. Returns None where
     the (partial) map is undefined.
     """
-    items = [_coerce_item(state)]
+    item = _coerce_item(state)
     if letter not in automaton.alphabet:
         raise UnknownLetter(f"{letter!r} is not a letter of {automaton.name}")
-    if items[0].base not in automaton.states:
-        raise UnknownState(f"{items[0].base!r} is not a state of {automaton.name}")
-    out = _thread(automaton, items, letter)
-    return None if out is None else (out, items[0])
+    table = automaton._table
+    items = [table.signed(item)]
+    out = _thread(table, items, table.letter_index[letter])
+    return None if out is None else (table.letters[out], table.item(items[0]))
 
 
 def act_word(
@@ -369,20 +407,18 @@ def act_word(
     """
     if not isinstance(seq, StateSequence):
         seq = StateSequence(seq)
-    items = list(seq.items)
-    for s in items:
-        if s.base not in automaton.states:
-            raise UnknownState(f"{s.base!r} is not a state of {automaton.name}")
-    alphabet = automaton.alphabet
+    table = automaton._table
+    items = [table.signed(s) for s in seq.items]
     out: list[Letter] = []
     for idx, letter in enumerate(as_word(word)):
-        if letter not in alphabet:
+        a = table.letter_index.get(letter)
+        if a is None:
             raise UnknownLetter(f"{letter!r} is not a letter of {automaton.name}")
-        cur = _thread(automaton, items, letter)
-        if cur is None:
+        a = _thread(table, items, a)
+        if a is None:
             return UndefinedAt(idx)
-        out.append(cur)
-    return Defined(tuple(out), StateSequence(items))
+        out.append(table.letters[a])
+    return Defined(tuple(out), StateSequence(map(table.item, items)))
 
 
 def check_properties(automaton: MealyAutomaton) -> PropertyReport:

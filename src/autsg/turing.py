@@ -65,7 +65,7 @@ SINK_STATE = "sink"
 def _check_tm_token(tok: str, what: str) -> None:
     if not isinstance(tok, str) or not tok:
         raise ValueError(f"{what} must be a non-empty string, got {tok!r}")
-    if any(c.isspace() for c in tok):
+    if tok.split() != [tok]:
         raise ValueError(f"{what} may not contain whitespace: {tok!r}")
     if ":" in tok or "|" in tok:
         raise ValueError(f"{what} may not contain ':' or '|': {tok!r}")

@@ -14,8 +14,11 @@ diverged outputs or exactly one side is alive. Deduplication is sound because
 the witness predicate and the successor relation depend only on the
 configuration, and breadth-first order with letter-sorted expansion makes the
 returned witness the length-then-lex least one. This module only searches:
-how a side consumes a letter (mealy._thread) and how a constraint subset
-steps (mealy._subset_step) are the kernels in mealy.py.
+how a side consumes a letter (mealy._thread, over the automaton's integer
+table) and how a constraint subset steps (mealy._subset_step) are the
+kernels in mealy.py. Sides are tuples of signed-state ints, and each step
+records both sides' output letters, so the walk back along the parent chain
+that rebuilds the witness also yields the sides' values on it.
 
 oracle_decide() answers the same question bounded by a word length. Its
 default implementation is the same deduplicated search cut at that depth,
@@ -41,7 +44,6 @@ from .mealy import (
     SeqItem,
     StateSequence,
     Word,
-    _check_invertible,
     _subset_step,
     _thread,
     acceptor_accepts,
@@ -72,8 +74,8 @@ UNDEFINED = _UndefinedType()
 @dataclass(frozen=True)
 class WordProblemInstance:
     """Two sequences over one automaton and the constraint acceptors. An
-    inverted item ~q whose state q emits some letter on more than one
-    transition is rejected here with NotInverseDeterministic."""
+    inverted item ~q is rejected here with NotInverseDeterministic when q
+    reaches a state that emits some letter on more than one transition."""
 
     automaton: MealyAutomaton
     lhs: StateSequence
@@ -99,7 +101,7 @@ class WordProblemInstance:
                         f"sequence item {item!r} is not a state of {automaton.name}"
                     )
                 if item.inverted:
-                    _check_invertible(automaton, item.base)
+                    automaton._table.check_inverse(item)
         for acc in constraints:
             if acc.alphabet != automaton.alphabet:
                 raise ValueError(
@@ -146,12 +148,19 @@ def _is_witness(cfg, finals) -> bool:
     return True  # exactly one alive; both-dead configs are never enqueued
 
 
-def _values(inst: WordProblemInstance, word: Word):
-    lv = act_word(inst.automaton, inst.lhs, word)
-    rv = act_word(inst.automaton, inst.rhs, word)
-    lhs_value = lv.output if isinstance(lv, Defined) else UNDEFINED
-    rhs_value = rv.output if isinstance(rv, Defined) else UNDEFINED
-    return lhs_value, rhs_value
+def _witness_verdict(letters: list, parents: dict, node) -> Verdict:
+    """Walk the parent chain back from the witnessing config node: the
+    letters read are the witness, and each alive side's outputs its value."""
+    alive = (True, node[0] is not None, node[1] is not None)
+    steps = []
+    while parents[node] is not None:
+        node, *step = parents[node]
+        steps.append(step)
+    word, lhs_value, rhs_value = (
+        tuple(letters[x] for x in column) if ok else UNDEFINED
+        for column, ok in zip(zip(*reversed(steps)), alive)
+    )
+    return Verdict(NOT_EQUAL, word, lhs_value, rhs_value)
 
 
 def _search(
@@ -160,28 +169,25 @@ def _search(
     max_configs: int | None,
     bounded_equal: bool,
 ) -> Verdict:
-    automaton = inst.automaton
-    letters = sorted(automaton.alphabet)
+    table = inst.automaton._table
     accs = inst.constraints
     step_maps = [acc.step_map() for acc in accs]
     finals = [acc.final for acc in accs]
     init = (
-        tuple(inst.lhs.items),
-        tuple(inst.rhs.items),
+        tuple(map(table.signed, inst.lhs)),
+        tuple(map(table.signed, inst.rhs)),
         tuple(acc.initial for acc in accs),
         False,
     )
+    # config -> (parent config, letter read, lhs output, rhs output)
     parents: dict = {init: None}
-    if _is_witness(init, finals):
-        lhs_value, rhs_value = _values(inst, ())
-        return Verdict(NOT_EQUAL, (), lhs_value, rhs_value)
     queue = deque([(init, 0)])
     while queue:
         cfg, depth = queue.popleft()
         if max_depth is not None and depth >= max_depth:
             continue
         lhs, rhs, subs, diverged = cfg
-        for letter in letters:
+        for a, letter in enumerate(table.letters):
             new_subs = []
             for m, sub in zip(step_maps, subs):
                 nxt = _subset_step(m, sub, letter)
@@ -194,11 +200,11 @@ def _search(
             lhs2 = rhs2 = out_l = out_r = None
             if lhs is not None:
                 lhs2 = list(lhs)
-                out_l = _thread(automaton, lhs2, letter)
+                out_l = _thread(table, lhs2, a)
                 lhs2 = None if out_l is None else tuple(lhs2)
             if rhs is not None:
                 rhs2 = list(rhs)
-                out_r = _thread(automaton, rhs2, letter)
+                out_r = _thread(table, rhs2, a)
                 rhs2 = None if out_r is None else tuple(rhs2)
             if lhs2 is None and rhs2 is None:
                 continue
@@ -209,19 +215,14 @@ def _search(
             child = (lhs2, rhs2, tuple(new_subs), diverged2)
             if child in parents:
                 continue
-            parents[child] = (cfg, letter)
+            parents[child] = (cfg, a, out_l, out_r)
             if _is_witness(child, finals):
-                chain = []
-                node = child
-                while parents[node] is not None:
-                    node, tok = parents[node]
-                    chain.append(tok)
-                witness = tuple(reversed(chain))
-                lhs_value, rhs_value = _values(inst, witness)
-                return Verdict(NOT_EQUAL, witness, lhs_value, rhs_value)
+                return _witness_verdict(table.letters, parents, child)
             if max_configs is not None and len(parents) > max_configs:
                 raise ConfigBudgetExceeded(
-                    f"more than {max_configs} configurations explored"
+                    f"more than {max_configs} configurations explored",
+                    configs=len(parents),
+                    depth=depth + 1,
                 )
             queue.append((child, depth + 1))
     return Verdict(EQUAL, bounded=bounded_equal)
@@ -258,7 +259,10 @@ def oracle_decide(
         for combo in itertools.product(letters, repeat=length):
             if not all(acceptor_accepts(acc, combo) for acc in inst.constraints):
                 continue
-            lhs_value, rhs_value = _values(inst, combo)
+            values = [act_word(automaton, side, combo) for side in (inst.lhs, inst.rhs)]
+            lhs_value, rhs_value = (
+                v.output if isinstance(v, Defined) else UNDEFINED for v in values
+            )
             if lhs_value != rhs_value:
                 return Verdict(NOT_EQUAL, combo, lhs_value, rhs_value)
     return Verdict(EQUAL, bounded=True)

@@ -2,7 +2,14 @@
 
 from __future__ import annotations
 
-from autsg import MealyAutomaton, SignedState, StateSequence
+from autsg import (
+    Defined,
+    MealyAutomaton,
+    NotInverseDeterministic,
+    SignedState,
+    StateSequence,
+    UndefinedAt,
+)
 
 
 def W(s: str) -> tuple[str, ...]:
@@ -22,6 +29,31 @@ def S(*items) -> StateSequence:
         else:
             out.append(SignedState(it))
     return StateSequence(out)
+
+
+def act(automaton: MealyAutomaton, seq, word) -> Defined | UndefinedAt:
+    """Literal reference for act_word on known states and letters: reads
+    automaton.transitions directly and scans the alphabet for the unique
+    transition an inverted item runs backwards."""
+    items, out = list(seq), []
+    for idx, letter in enumerate(word):
+        for i in range(len(items) - 1, -1, -1):
+            q, inverted = items[i].base, items[i].inverted
+            hits = [automaton.transitions.get((q, letter))]
+            if inverted:
+                hits = [
+                    (a, t[1])
+                    for a in automaton.alphabet
+                    if (t := automaton.transitions.get((q, a))) and t[0] == letter
+                ] or [None]
+            if len(hits) > 1:
+                raise NotInverseDeterministic(f"~{q} on {letter}")
+            if hits[0] is None:
+                return UndefinedAt(idx)
+            letter, p = hits[0]
+            items[i] = SignedState(p, inverted)
+        out.append(letter)
+    return Defined(tuple(out), StateSequence(items))
 
 
 def rename_letters(

@@ -7,6 +7,8 @@ by the binary-increment reading) and frozen here.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,7 +34,7 @@ from autsg import (
     invert,
     union,
 )
-from helpers import S, W, rename_letters, rename_states
+from helpers import S, W, act, rename_letters, rename_states
 
 ADDING = build_gadget("adding")
 FREE = build_gadget("free")
@@ -145,6 +147,46 @@ def test_act_word_validation():
         act_word(ADDING, S("~+1"), "0x")
     with pytest.raises(NotInverseDeterministic):
         act_word(FREE, [SignedState("a", inverted=True)], "a")
+
+
+def _outcome(thunk):
+    try:
+        return thunk()
+    except NotInverseDeterministic:
+        return NotInverseDeterministic
+
+
+def test_actions_match_literal_reference():
+    # random partial automata, many of them not inverse-deterministic, so
+    # both sides must also agree on where an inverse step is ambiguous
+    rng = random.Random(2718)
+    ambiguous = 0
+    for _ in range(400):
+        letters = ["x", "y", "z"][: rng.randint(1, 3)]
+        states = [f"q{i}" for i in range(rng.randint(1, 3))]
+        trans = {
+            (q, a): (rng.choice(letters), rng.choice(states))
+            for q in states
+            for a in letters
+            if rng.random() < 0.8
+        }
+        aut = MealyAutomaton("rand", letters, states, trans)
+        seq = StateSequence(
+            SignedState(rng.choice(states), rng.random() < 0.5)
+            for _ in range(rng.randint(0, 3))
+        )
+        word = tuple(rng.choice(letters) for _ in range(rng.randint(0, 6)))
+        expected = _outcome(lambda: act(aut, seq, word))
+        assert _outcome(lambda: act_word(aut, seq, word)) == expected
+        ambiguous += expected is NotInverseDeterministic
+        item, letter = SignedState(rng.choice(states), rng.random() < 0.5), letters[0]
+        one = _outcome(lambda: act(aut, [item], [letter]))
+        step = _outcome(lambda: act_step(aut, item, letter))
+        if isinstance(one, Defined):
+            assert step == (one.output[0], one.final[0])
+        else:
+            assert step == (None if isinstance(one, UndefinedAt) else one)
+    assert ambiguous > 20
 
 
 # ----------------------------------------------------------- classification
@@ -311,6 +353,12 @@ def test_automaton_validation():
         MealyAutomaton("x", ("~a",), ("q",), {})  # letters may not start with ~
     # states may: the inverted copy relies on it
     MealyAutomaton("x", ("a",), ("~q",), {})
+    # any Unicode whitespace, such as the file separator, is rejected
+    for tok in ("q r", "q\x1cr"):
+        with pytest.raises(ValueError):
+            MealyAutomaton("x", ("a",), (tok,), {})
+        with pytest.raises(ValueError):
+            MealyAutomaton("x", (tok,), ("q",), {})
 
 
 # ------------------------------------------------------------ property style

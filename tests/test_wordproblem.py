@@ -21,6 +21,7 @@ from autsg import (
     NotInverseDeterministic,
     UNDEFINED,
     WordProblemInstance,
+    act_word,
     build_gadget,
     check_properties,
     config_bound,
@@ -106,8 +107,11 @@ def test_decide_witness_is_length_lex_least():
 
 def test_decide_budget():
     inst = WordProblemInstance(D, S("0", "0", "0"), S("0", "0"))
-    with pytest.raises(ConfigBudgetExceeded):
+    with pytest.raises(ConfigBudgetExceeded) as exc:
         decide(inst, max_configs=3)
+    # how far the search got: configurations stored and depth reached
+    assert (exc.value.configs, exc.value.depth) == (4, 3)
+    assert "4 stored, depth 3 reached" in str(exc.value)
     # a generous cap changes nothing
     v = decide(inst, max_configs=10_000)
     assert v.kind == NOT_EQUAL
@@ -277,15 +281,45 @@ def test_decide_is_symmetric():
             assert (a.lhs_value, a.rhs_value) == (b.rhs_value, b.lhs_value)
 
 
-@pytest.mark.parametrize("rhs", [S(), S("~r"), S("s")])
-def test_ill_posed_inversion_rejected_when_built(rhs):
-    # r emits b on two transitions, so ~r is undefined; the instance must
-    # fail when it is built, not answer or fail partway through the search
-    birev = build_gadget("bireversible")
+# q's own outputs differ, but q reaches p, which emits a on both letters:
+# q maps ua and ub alike, so ~q is undefined too
+REACHES_AMBIGUOUS = MealyAutomaton(
+    "reach",
+    ("a", "b"),
+    ("q", "p"),
+    {
+        ("q", "a"): ("a", "p"),
+        ("q", "b"): ("b", "q"),
+        ("p", "a"): ("a", "p"),
+        ("p", "b"): ("a", "p"),
+    },
+)
+
+
+@pytest.mark.parametrize(
+    "aut, item, rhs",
+    [
+        # r emits b on two transitions, so ~r is undefined
+        pytest.param(build_gadget("bireversible"), "~r", S(), id="rhs0"),
+        pytest.param(build_gadget("bireversible"), "~r", S("~r"), id="rhs1"),
+        pytest.param(build_gadget("bireversible"), "~r", S("s"), id="rhs2"),
+        pytest.param(REACHES_AMBIGUOUS, "~q", S(), id="reaches-ambiguous"),
+    ],
+)
+def test_ill_posed_inversion_rejected_when_built(aut, item, rhs):
+    # the instance must fail when it is built, not answer or fail partway
+    # through the search
     with pytest.raises(NotInverseDeterministic):
-        WordProblemInstance(birev, S("~r"), rhs)
+        WordProblemInstance(aut, S(item), rhs)
     with pytest.raises(NotInverseDeterministic):
-        WordProblemInstance(birev, rhs, S("~r"))
+        WordProblemInstance(aut, rhs, S(item))
+
+
+def test_act_word_raises_only_at_the_ambiguous_step():
+    # acting, unlike building an instance, fails only where ~p is stepped
+    assert act_word(REACHES_AMBIGUOUS, S("~q"), "ba").output == W("ba")
+    with pytest.raises(NotInverseDeterministic):
+        act_word(REACHES_AMBIGUOUS, S("~q"), "aa")
 
 
 def test_empty_word_never_witnesses():
