@@ -21,40 +21,11 @@ length.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from typing import Callable
 
 from .mealy import MealyAutomaton, StateSequence, Word
 from .wordproblem import NOT_EQUAL, WordProblemInstance, decide
-
-_KINDS = ("AddingMachine", "FreeSemigroup", "BireversibleExample", "DualAdding")
-_VARIANTS = ("D", "DPrime")
-
-
-@dataclass(frozen=True)
-class GadgetId:
-    """Identifies one gadget. partial only matters for FreeSemigroup,
-    variant only for DualAdding."""
-
-    kind: str
-    partial: bool = False
-    variant: str = "D"
-
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown gadget kind {self.kind!r}; expected one of {_KINDS}")
-        if self.variant not in _VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}; expected one of {_VARIANTS}")
-
-
-# CLI-facing names. Keys double as the generated automata's names.
-GADGET_NAMES: dict[str, GadgetId] = {
-    "adding": GadgetId("AddingMachine"),
-    "free": GadgetId("FreeSemigroup"),
-    "free-partial": GadgetId("FreeSemigroup", partial=True),
-    "bireversible": GadgetId("BireversibleExample"),
-    "dual-adding": GadgetId("DualAdding"),
-    "dual-adding-prime": GadgetId("DualAdding", variant="DPrime"),
-}
 
 
 def _adding_machine() -> MealyAutomaton:
@@ -103,7 +74,7 @@ def _bireversible_example() -> MealyAutomaton:
     )
 
 
-def _dual_adding(variant: str) -> MealyAutomaton:
+def _dual_adding(prime: bool) -> MealyAutomaton:
     # Dual of the adding machine under the renaming +1 -> a, +0 -> b.
     # On input a, state 0 flips to 1 emitting b; state 1 flips to 0 emitting
     # a (the carry). Input b is the identity everywhere.
@@ -115,7 +86,7 @@ def _dual_adding(variant: str) -> MealyAutomaton:
     }
     states = ["0", "1"]
     name = "dual-adding"
-    if variant == "DPrime":
+    if prime:
         states.append("q")
         trans[("q", "a")] = ("b", "q")
         trans[("q", "b")] = ("b", "q")
@@ -123,23 +94,26 @@ def _dual_adding(variant: str) -> MealyAutomaton:
     return MealyAutomaton(name, alphabet=("a", "b"), states=states, transitions=trans)
 
 
-def build_gadget(gid: GadgetId | str) -> MealyAutomaton:
-    """Construct one of the example automata. Accepts a GadgetId or one of
-    the GADGET_NAMES keys."""
-    if isinstance(gid, str):
-        try:
-            gid = GADGET_NAMES[gid]
-        except KeyError:
-            raise ValueError(
-                f"unknown gadget {gid!r}; expected one of {sorted(GADGET_NAMES)}"
-            ) from None
-    if gid.kind == "AddingMachine":
-        return _adding_machine()
-    if gid.kind == "FreeSemigroup":
-        return _free_semigroup(gid.partial)
-    if gid.kind == "BireversibleExample":
-        return _bireversible_example()
-    return _dual_adding(gid.variant)
+# CLI-facing names. Keys double as the generated automata's names.
+GADGET_NAMES: dict[str, Callable[[], MealyAutomaton]] = {
+    "adding": _adding_machine,
+    "free": functools.partial(_free_semigroup, False),
+    "free-partial": functools.partial(_free_semigroup, True),
+    "bireversible": _bireversible_example,
+    "dual-adding": functools.partial(_dual_adding, False),
+    "dual-adding-prime": functools.partial(_dual_adding, True),
+}
+
+
+def build_gadget(name: str) -> MealyAutomaton:
+    """Construct the example automaton called name, a GADGET_NAMES key."""
+    try:
+        builder = GADGET_NAMES[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown gadget {name!r}; expected one of {sorted(GADGET_NAMES)}"
+        ) from None
+    return builder()
 
 
 def counter_sequence(value: int, width: int) -> StateSequence:

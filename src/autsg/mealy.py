@@ -16,13 +16,14 @@ _thread, how a sequence of signed states consumes one letter, on the integer
 _Table each automaton caches and fills row by row as states are first
 stepped (behind act_step, act_word and the word-problem search), and
 _subset_step, how a constraint acceptor's state subset reads one letter
-(behind acceptor_step, acceptor_accepts and the search).
+(behind acceptor_accepts and the search).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import (
@@ -128,9 +129,9 @@ class UndefinedAt:
 class MealyAutomaton:
     """A deterministic, possibly partial synchronous transducer.
 
-    transitions maps (state, input letter) to (output letter, next state).
-    Determinism is inherent to the representation; completeness is not
-    required. Instances are immutable and safe to share.
+    transitions maps (state, input letter) to (output letter, next state),
+    read-only. Determinism is inherent to the representation; completeness
+    is not required. Instances are immutable and safe to share.
     """
 
     name: str
@@ -165,7 +166,7 @@ class MealyAutomaton:
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "states", states)
-        object.__setattr__(self, "transitions", trans)
+        object.__setattr__(self, "transitions", MappingProxyType(trans))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MealyAutomaton):
@@ -174,17 +175,17 @@ class MealyAutomaton:
             self.name == other.name
             and self.alphabet == other.alphabet
             and self.states == other.states
-            and dict(self.transitions) == dict(other.transitions)
+            and self.transitions == other.transitions
         )
 
-    __hash__ = None  # mutable mapping inside; do not use as a dict key
+    __hash__ = None  # equality compares transition tables, which do not hash
 
     def same_structure(self, other: "MealyAutomaton") -> bool:
         """Equality ignoring the name."""
         return (
             self.alphabet == other.alphabet
             and self.states == other.states
-            and dict(self.transitions) == dict(other.transitions)
+            and self.transitions == other.transitions
         )
 
     @cached_property
@@ -275,11 +276,6 @@ def _subset_step(
     return frozenset(nxt)
 
 
-def acceptor_step(acc: Acceptor, subset: frozenset[State], letter: Letter) -> frozenset[State]:
-    """One subset-construction step."""
-    return _subset_step(acc.step_map(), subset, letter)
-
-
 def acceptor_accepts(acc: Acceptor, word: Iterable[Letter] | str) -> bool:
     step_map = acc.step_map()
     cur = acc.initial
@@ -320,10 +316,10 @@ class _Table:
     def row(self, s: int) -> list:
         """Build, cache and return the row of signed state s."""
         q, inverted = self.states[s >> 1], s & 1
-        trans, li, si = self.transitions, self.letter_index, self.state_index
+        get, li, si = self.transitions.get, self.letter_index, self.state_index
         row: list = [None] * len(self.letters)
         for a, i in li.items():
-            hit = trans.get((q, a))
+            hit = get((q, a))
             if hit is not None:
                 b, p = li[hit[0]], 2 * si[hit[1]] + inverted
                 if inverted:  # ~q reads what q emits and emits what q reads
@@ -542,7 +538,7 @@ def complete_with_zero(automaton: MealyAutomaton) -> MealyAutomaton:
         raise ReservedTokenCollision(f"states already contain {ZERO_STATE!r}")
     alphabet = set(automaton.alphabet) | {BOTTOM_LETTER}
     states = set(automaton.states) | {ZERO_STATE}
-    trans = dict(automaton.transitions)
+    trans = automaton.transitions.copy()
     for q in automaton.states:
         for a in alphabet:
             if (q, a) not in trans:

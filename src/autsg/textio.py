@@ -28,6 +28,15 @@ including file, included at most once per parse). In sequences a leading
 has a state literally named "~q", the token "~q" denotes that state and
 never the inversion of "q".
 
+Within a block, list lines (alphabet, states, tape, final, constraint and
+an acceptor's initial) add up when repeated; of other repeated lines, lhs
+and rhs among them, the last one wins. _KEYWORDS states the table above
+once: one reader collects a block's lines up to end, checking keywords and
+the size of fixed-size lines, and a builder per kind makes the object. A
+ParseError names its line: a line's own fault names that line, and a block
+its constructor rejects names the first line using a token the block does
+not declare, or else the head line.
+
 Serializers emit blocks with sorted alphabets, states and transitions, so
 output is deterministic; they refuse tokens that would not survive a parse
 (a "%" anywhere, or an inverted state whose "~"-prefixed spelling collides
@@ -37,14 +46,13 @@ with a literal state name).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 from .errors import AutomatonError, ParseError
 from .mealy import Acceptor, MealyAutomaton, SignedState, StateSequence
-from .turing import TuringMachineSpec
+from .turing import MOVES, TuringMachineSpec
 from .wordproblem import WordProblemInstance
-
-MOVE_TOKENS = ("L", "N", "R")
 
 
 @dataclass
@@ -137,10 +145,8 @@ def _rows(text: str) -> list[tuple[int, list[str]]]:
 def _parse_into(
     doc: DocumentSet, text: str, base_dir: Path | None, seen: set[Path]
 ) -> None:
-    rows = _rows(text)
-    i = 0
-    while i < len(rows):
-        lineno, toks = rows[i]
+    rows = iter(_rows(text))
+    for lineno, toks in rows:
         head = toks[0]
         if head == "include":
             if len(toks) != 2:
@@ -155,252 +161,221 @@ def _parse_into(
                 except OSError as exc:
                     raise ParseError(f"cannot include {toks[1]!r}: {exc}", lineno) from exc
                 _parse_into(doc, text2, target.parent, seen)
-            i += 1
-        elif head == "mealy":
-            i = _parse_mealy(doc, rows, i)
-        elif head == "acceptor":
-            i = _parse_acceptor(doc, rows, i)
-        elif head == "tm":
-            i = _parse_tm(doc, rows, i)
-        elif head == "instance":
-            i = _parse_instance(doc, rows, i)
+        elif head in _KEYWORDS:
+            _read_block(doc, rows, lineno, toks)
         else:
             raise ParseError(f"unexpected token {head!r} at top level", lineno)
 
 
-def _block_name(rows, i, kind: str) -> str:
-    lineno, toks = rows[i]
-    if len(toks) != 2:
-        raise ParseError(f"{kind} head line needs exactly one name", lineno)
-    return toks[1]
+# kind -> {keyword: usage of a fixed-size line, None for a line of any length
+# (budget too: its builder checks it)}. A one-word usage such as TOKEN reads
+# "exactly one token" in the error message.
+_KEYWORDS = {
+    "mealy": {"alphabet": None, "states": None, "t": "STATE IN OUT STATE"},
+    "acceptor": {
+        "alphabet": None, "states": None, "initial": None, "final": None,
+        "t": "STATE IN STATE",
+    },
+    "tm": {
+        "tape": None, "blank": "TOKEN", "states": None, "initial": "TOKEN", "final": None,
+        "rule": "STATE READ WRITE MOVE STATE",
+    },
+    "instance": {
+        "automaton": "NAME", "lhs": None, "rhs": None, "constraint": "NAME", "budget": None
+    },
+}
+# the DocumentSet field each named kind is stored in
+_FIELDS = {"mealy": "automata", "acceptor": "acceptors", "tm": "machines"}
+
+_Body = dict[str, list[tuple[int, list[str]]]]
 
 
-def _parse_mealy(doc: DocumentSet, rows, i: int) -> int:
-    start, _ = rows[i]
-    name = _block_name(rows, i, "mealy")
-    if name in doc.automata:
-        raise ParseError(f"duplicate automaton name {name!r}", start)
-    alphabet: list[str] = []
-    states: list[str] = []
+def _read_block(doc: DocumentSet, rows, start: int, head: list[str]) -> None:
+    """Read one block from rows (an iterator positioned after its head line)
+    up to its end line, collecting the body lines by keyword, then build it
+    and store it in doc."""
+    kind, name, field = head[0], None, _FIELDS.get(head[0])
+    if field is None:
+        if len(head) != 1:
+            raise ParseError("instance head line takes no arguments", start)
+    elif len(head) != 2:
+        raise ParseError(f"{kind} head line needs exactly one name", start)
+    else:
+        name = head[1]
+        if name in getattr(doc, field):
+            noun = "automaton" if kind == "mealy" else kind
+            raise ParseError(f"duplicate {noun} name {name!r}", start)
+    usages = _KEYWORDS[kind]
+    arity = {kw: len(u.split()) + 1 for kw, u in usages.items() if u is not None}
+    body: _Body = {kw: [] for kw in usages}
+    for row in rows:
+        lineno, toks = row
+        keyword = toks[0]
+        if keyword == "end" and len(toks) == 1:
+            built = _BUILDERS[kind](name, start, body)
+            if field is None:
+                doc.instances.append(built)
+            else:
+                getattr(doc, field)[name] = built
+            return
+        lines = body.get(keyword)
+        if lines is None:
+            raise ParseError(f"unexpected {keyword!r} in {kind} block", lineno)
+        n = arity.get(keyword)
+        if n is not None and len(toks) != n:
+            usage = usages[keyword]
+            needs = usage if " " in usage else f"exactly one {usage.lower()}"
+            raise ParseError(f"{keyword} line needs {needs}", lineno)
+        lines.append(row)
+    raise ParseError(f"{kind} block not closed with 'end'", start)
+
+
+def _tokens(lines) -> list[str]:
+    """The arguments of every line, in order."""
+    return [tok for _, toks in lines for tok in toks[1:]]
+
+
+def _last(lines) -> list[str] | None:
+    """The arguments of the last line (a repeated line overrides), if any."""
+    return lines[-1][1][1:] if lines else None
+
+
+def _culprit(start: int, body: _Body, **declared) -> int:
+    """The line to blame once a constructor has rejected a block: the first
+    line naming a token the block does not declare, searching the keywords
+    in the order given (the order the constructor checks them); else the
+    head line, for faults of the block as a whole. declared maps a keyword
+    to the set its arguments come from, or to one set per argument (None
+    for an argument that is not a declared token)."""
+    for keyword, sets in declared.items():
+        for lineno, toks in body[keyword]:
+            args = toks[1:]
+            expected = [sets] * len(args) if isinstance(sets, set) else sets
+            if any(s is not None and tok not in s for tok, s in zip(args, expected)):
+                return lineno
+    return start
+
+
+def _build_mealy(name: str, start: int, body: _Body) -> MealyAutomaton:
     trans: dict[tuple[str, str], tuple[str, str]] = {}
-    i += 1
-    while i < len(rows):
-        lineno, toks = rows[i]
-        if toks == ["end"]:
-            try:
-                doc.automata[name] = MealyAutomaton(name, alphabet, states, trans)
-            except (ValueError, AutomatonError) as exc:
-                raise ParseError(str(exc), start) from exc
-            return i + 1
-        if toks[0] == "alphabet":
-            alphabet.extend(toks[1:])
-        elif toks[0] == "states":
-            states.extend(toks[1:])
-        elif toks[0] == "t":
-            if len(toks) != 5:
-                raise ParseError("t line needs STATE IN OUT STATE", lineno)
-            key = (toks[1], toks[2])
-            if key in trans:
-                raise ParseError(
-                    f"duplicate transition for state {toks[1]!r} on {toks[2]!r}", lineno
-                )
-            trans[key] = (toks[3], toks[4])
-        else:
-            raise ParseError(f"unexpected {toks[0]!r} in mealy block", lineno)
-        i += 1
-    raise ParseError("mealy block not closed with 'end'", start)
+    for lineno, (_, q, a, b, p) in body["t"]:
+        if (q, a) in trans:
+            raise ParseError(f"duplicate transition for state {q!r} on {a!r}", lineno)
+        trans[q, a] = (b, p)
+    alphabet, states = _tokens(body["alphabet"]), _tokens(body["states"])
+    try:
+        return MealyAutomaton(name, alphabet, states, trans)
+    except (ValueError, AutomatonError) as exc:
+        q, a = set(states), set(alphabet)
+        raise ParseError(str(exc), _culprit(start, body, t=(q, a, a, q))) from exc
 
 
-def _parse_acceptor(doc: DocumentSet, rows, i: int) -> int:
-    start, _ = rows[i]
-    name = _block_name(rows, i, "acceptor")
-    if name in doc.acceptors:
-        raise ParseError(f"duplicate acceptor name {name!r}", start)
-    alphabet: list[str] = []
-    states: list[str] = []
-    initial: list[str] = []
-    final: list[str] = []
-    triples: set[tuple[str, str, str]] = set()
-    i += 1
-    while i < len(rows):
-        lineno, toks = rows[i]
-        if toks == ["end"]:
-            try:
-                doc.acceptors[name] = Acceptor(
-                    name, alphabet, states, triples, initial, final
-                )
-            except (ValueError, AutomatonError) as exc:
-                raise ParseError(str(exc), start) from exc
-            return i + 1
-        if toks[0] == "alphabet":
-            alphabet.extend(toks[1:])
-        elif toks[0] == "states":
-            states.extend(toks[1:])
-        elif toks[0] == "initial":
-            initial.extend(toks[1:])
-        elif toks[0] == "final":
-            final.extend(toks[1:])
-        elif toks[0] == "t":
-            if len(toks) != 4:
-                raise ParseError("t line needs STATE IN STATE", lineno)
-            triples.add((toks[1], toks[2], toks[3]))
-        else:
-            raise ParseError(f"unexpected {toks[0]!r} in acceptor block", lineno)
-        i += 1
-    raise ParseError("acceptor block not closed with 'end'", start)
+def _build_acceptor(name: str, start: int, body: _Body) -> Acceptor:
+    alphabet, states = _tokens(body["alphabet"]), _tokens(body["states"])
+    initial, final = _tokens(body["initial"]), _tokens(body["final"])
+    triples = {(q, a, p) for _, (_, q, a, p) in body["t"]}
+    try:
+        return Acceptor(name, alphabet, states, triples, initial, final)
+    except (ValueError, AutomatonError) as exc:
+        q, a = set(states), set(alphabet)
+        line = _culprit(start, body, t=(q, a, q), initial=q, final=q)
+        raise ParseError(str(exc), line) from exc
 
 
-def _parse_tm(doc: DocumentSet, rows, i: int) -> int:
-    start, _ = rows[i]
-    name = _block_name(rows, i, "tm")
-    if name in doc.machines:
-        raise ParseError(f"duplicate tm name {name!r}", start)
-    tape: list[str] = []
-    states: list[str] = []
-    final: list[str] = []
-    blank: str | None = None
-    initial: str | None = None
+def _build_tm(name: str, start: int, body: _Body) -> TuringMachineSpec:
     rules: dict[tuple[str, str], tuple[str, str, str]] = {}
-    i += 1
-    while i < len(rows):
-        lineno, toks = rows[i]
-        if toks == ["end"]:
-            if blank is None:
-                raise ParseError("tm block needs a blank line", start)
-            if initial is None:
-                raise ParseError("tm block needs an initial line", start)
-            try:
-                doc.machines[name] = TuringMachineSpec(
-                    name, tape, blank, states, initial, final, rules
-                )
-            except ValueError as exc:
-                raise ParseError(str(exc), start) from exc
-            return i + 1
-        if toks[0] == "tape":
-            tape.extend(toks[1:])
-        elif toks[0] == "states":
-            states.extend(toks[1:])
-        elif toks[0] == "final":
-            final.extend(toks[1:])
-        elif toks[0] == "blank":
-            if len(toks) != 2:
-                raise ParseError("blank line needs exactly one token", lineno)
-            blank = toks[1]
-        elif toks[0] == "initial":
-            if len(toks) != 2:
-                raise ParseError("initial line needs exactly one token", lineno)
-            initial = toks[1]
-        elif toks[0] == "rule":
-            if len(toks) != 6:
-                raise ParseError("rule line needs STATE READ WRITE MOVE STATE", lineno)
-            if toks[4] not in MOVE_TOKENS:
-                raise ParseError(f"move must be one of {MOVE_TOKENS}", lineno)
-            key = (toks[1], toks[2])
-            if key in rules:
-                raise ParseError(
-                    f"duplicate rule for state {toks[1]!r} reading {toks[2]!r}", lineno
-                )
-            rules[key] = (toks[3], toks[5], toks[4])
-        else:
-            raise ParseError(f"unexpected {toks[0]!r} in tm block", lineno)
-        i += 1
-    raise ParseError("tm block not closed with 'end'", start)
+    for lineno, (_, z, g, write, move, nxt) in body["rule"]:
+        if move not in MOVES:
+            raise ParseError(f"move must be one of {MOVES}", lineno)
+        if (z, g) in rules:
+            raise ParseError(f"duplicate rule for state {z!r} reading {g!r}", lineno)
+        rules[z, g] = (write, nxt, move)
+    blank, initial = _last(body["blank"]), _last(body["initial"])
+    if blank is None:
+        raise ParseError("tm block needs a blank line", start)
+    if initial is None:
+        raise ParseError("tm block needs an initial line", start)
+    tape, states, final = (_tokens(body[kw]) for kw in ("tape", "states", "final"))
+    try:
+        return TuringMachineSpec(name, tape, blank[0], states, initial[0], final, rules)
+    except (ValueError, AutomatonError) as exc:
+        z, g = set(states), set(tape)
+        line = _culprit(start, body, blank=g, initial=z, final=z, rule=(z, g, g, None, z))
+        raise ParseError(str(exc), line) from exc
 
 
-def _parse_instance(doc: DocumentSet, rows, i: int) -> int:
-    start, toks = rows[i]
-    if len(toks) != 1:
-        raise ParseError("instance head line takes no arguments", start)
-    automaton: str | None = None
-    lhs: tuple[str, ...] | None = None
-    rhs: tuple[str, ...] | None = None
-    constraints: list[str] = []
-    budget: int | None = None
-    i += 1
-    while i < len(rows):
-        lineno, toks = rows[i]
-        if toks == ["end"]:
-            if automaton is None:
-                raise ParseError("instance needs an automaton line", start)
-            if lhs is None or rhs is None:
-                raise ParseError("instance needs lhs and rhs lines", start)
-            doc.instances.append(
-                ParsedInstance(automaton, lhs, rhs, tuple(constraints), budget, start)
-            )
-            return i + 1
-        if toks[0] == "automaton":
-            if len(toks) != 2:
-                raise ParseError("automaton line needs exactly one name", lineno)
-            automaton = toks[1]
-        elif toks[0] == "lhs":
-            lhs = tuple(toks[1:])
-        elif toks[0] == "rhs":
-            rhs = tuple(toks[1:])
-        elif toks[0] == "constraint":
-            if len(toks) != 2:
-                raise ParseError("constraint line needs exactly one name", lineno)
-            constraints.append(toks[1])
-        elif toks[0] == "budget":
-            if len(toks) != 2 or not toks[1].isdecimal() or int(toks[1]) < 1:
-                raise ParseError("budget needs one positive integer", lineno)
-            budget = int(toks[1])
-        else:
-            raise ParseError(f"unexpected {toks[0]!r} in instance block", lineno)
-        i += 1
-    raise ParseError("instance block not closed with 'end'", start)
+def _build_instance(_name: None, start: int, body: _Body) -> ParsedInstance:
+    for lineno, toks in body["budget"]:
+        if len(toks) != 2 or not toks[1].isdecimal() or int(toks[1]) < 1:
+            raise ParseError("budget needs one positive integer", lineno)
+    automaton, lhs, rhs, budget = (
+        _last(body[kw]) for kw in ("automaton", "lhs", "rhs", "budget")
+    )
+    if automaton is None:
+        raise ParseError("instance needs an automaton line", start)
+    if lhs is None or rhs is None:
+        raise ParseError("instance needs lhs and rhs lines", start)
+    constraints = tuple(_tokens(body["constraint"]))
+    budget = None if budget is None else int(budget[0])
+    return ParsedInstance(automaton[0], tuple(lhs), tuple(rhs), constraints, budget, start)
+
+
+_BUILDERS = {
+    "mealy": _build_mealy,
+    "acceptor": _build_acceptor,
+    "tm": _build_tm,
+    "instance": _build_instance,
+}
 
 
 # ---------------------------------------------------------------------------
 # serialization
 
 
-def _check_emittable(tok: str) -> str:
-    if "%" in tok:
+def _block(head: str, lines) -> str:
+    """A block: the head line, one line per token sequence in lines, then
+    end. Refuses a token containing "%", which would parse as the start of a
+    comment."""
+    text = "\n".join([head, *map(" ".join, lines), "end\n"])
+    if "%" in text:
+        tok = next(t for t in text.split() if "%" in t)
         raise ValueError(f"token {tok!r} contains '%' and would parse as a comment")
-    return tok
+    return text
 
 
-def _token_line(keyword: str, toks) -> str:
-    parts = [keyword]
-    parts.extend(_check_emittable(t) for t in toks)
-    return " ".join(parts)
+# The serializers pass rows as generators, and serialize_automaton sorts only
+# the keys, so that the rows of a large automaton are not all held as tuples
+# next to their text.
 
 
 def serialize_automaton(automaton: MealyAutomaton) -> str:
-    lines = [_token_line("mealy", [automaton.name])]
-    lines.append(_token_line("alphabet", sorted(automaton.alphabet)))
-    lines.append(_token_line("states", sorted(automaton.states)))
-    for (q, a) in sorted(automaton.transitions):
-        b, p = automaton.transitions[(q, a)]
-        lines.append(_token_line("t", [q, a, b, p]))
-    lines.append("end")
-    return "\n".join(lines) + "\n"
+    trans = automaton.transitions
+    head = [
+        ("alphabet", *sorted(automaton.alphabet)),
+        ("states", *sorted(automaton.states)),
+    ]
+    rows = (("t", q, a, *trans[q, a]) for q, a in sorted(trans))
+    return _block(f"mealy {automaton.name}", chain(head, rows))
 
 
 def serialize_acceptor(acceptor: Acceptor) -> str:
-    lines = [_token_line("acceptor", [acceptor.name])]
-    lines.append(_token_line("alphabet", sorted(acceptor.alphabet)))
-    lines.append(_token_line("states", sorted(acceptor.states)))
-    lines.append(_token_line("initial", sorted(acceptor.initial)))
-    lines.append(_token_line("final", sorted(acceptor.final)))
-    for q, a, p in sorted(acceptor.transitions):
-        lines.append(_token_line("t", [q, a, p]))
-    lines.append("end")
-    return "\n".join(lines) + "\n"
+    keywords = ("alphabet", "states", "initial", "final")
+    head = [(kw, *sorted(getattr(acceptor, kw))) for kw in keywords]
+    rows = (("t", *triple) for triple in sorted(acceptor.transitions))
+    return _block(f"acceptor {acceptor.name}", chain(head, rows))
 
 
 def serialize_tm(tm: TuringMachineSpec) -> str:
-    lines = [_token_line("tm", [tm.name])]
-    lines.append(_token_line("tape", sorted(tm.tape_alphabet)))
-    lines.append(_token_line("blank", [tm.blank]))
-    lines.append(_token_line("states", sorted(tm.states)))
-    lines.append(_token_line("initial", [tm.initial]))
-    lines.append(_token_line("final", sorted(tm.finals)))
-    for (z, g) in sorted(tm.rules):
-        write, nxt, move = tm.rules[(z, g)]
-        lines.append(_token_line("rule", [z, g, write, move, nxt]))
-    lines.append("end")
-    return "\n".join(lines) + "\n"
+    head = [
+        ("tape", *sorted(tm.tape_alphabet)),
+        ("blank", tm.blank),
+        ("states", *sorted(tm.states)),
+        ("initial", tm.initial),
+        ("final", *sorted(tm.finals)),
+    ]
+    rules = sorted(tm.rules.items())
+    rows = (("rule", z, g, write, move, z2) for (z, g), (write, z2, move) in rules)
+    return _block(f"tm {tm.name}", chain(head, rows))
 
 
 def sequence_tokens(seq: StateSequence, automaton: MealyAutomaton) -> list[str]:
@@ -437,17 +412,13 @@ def serialize_instance(
             continue
         emitted[acc.name] = acc
         parts.append(serialize_acceptor(acc))
-    lines = ["instance", _token_line("automaton", [instance.automaton.name])]
-    lines.append(
-        _token_line("lhs", sequence_tokens(instance.lhs, instance.automaton))
-    )
-    lines.append(
-        _token_line("rhs", sequence_tokens(instance.rhs, instance.automaton))
-    )
-    for acc in instance.constraints:
-        lines.append(_token_line("constraint", [acc.name]))
+    lines = [
+        ("automaton", instance.automaton.name),
+        ("lhs", *sequence_tokens(instance.lhs, instance.automaton)),
+        ("rhs", *sequence_tokens(instance.rhs, instance.automaton)),
+        *(("constraint", acc.name) for acc in instance.constraints),
+    ]
     if budget is not None:
-        lines.append(f"budget {budget}")
-    lines.append("end")
-    parts.append("\n".join(lines) + "\n")
+        lines.append(("budget", str(budget)))
+    parts.append(_block("instance", lines))
     return "".join(parts)

@@ -167,7 +167,6 @@ def _search(
     inst: WordProblemInstance,
     max_depth: int | None,
     max_configs: int | None,
-    bounded_equal: bool,
 ) -> Verdict:
     table = inst.automaton._table
     accs = inst.constraints
@@ -225,7 +224,7 @@ def _search(
                     depth=depth + 1,
                 )
             queue.append((child, depth + 1))
-    return Verdict(EQUAL, bounded=bounded_equal)
+    return Verdict(EQUAL, bounded=max_depth is not None)
 
 
 def decide(inst: WordProblemInstance, max_configs: int | None = None) -> Verdict:
@@ -234,7 +233,7 @@ def decide(inst: WordProblemInstance, max_configs: int | None = None) -> Verdict
     Raises ConfigBudgetExceeded when the explored configuration count passes
     the caller-supplied cap; with no cap, termination follows from the finite
     configuration space (see config_bound)."""
-    return _search(inst, max_depth=None, max_configs=max_configs, bounded_equal=False)
+    return _search(inst, max_depth=None, max_configs=max_configs)
 
 
 def oracle_decide(
@@ -252,7 +251,7 @@ def oracle_decide(
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
     if not naive:
-        return _search(inst, max_depth=max_len, max_configs=None, bounded_equal=True)
+        return _search(inst, max_depth=max_len, max_configs=None)
     automaton = inst.automaton
     letters = sorted(automaton.alphabet)
     for length in range(max_len + 1):

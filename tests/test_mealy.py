@@ -361,6 +361,14 @@ def test_automaton_validation():
             MealyAutomaton("x", (tok,), ("q",), {})
 
 
+def test_transitions_are_read_only():
+    a = build_gadget("adding")
+    assert act_word(a, ["+1"], "0") == Defined(("1",), S("+0"))
+    with pytest.raises(TypeError):
+        a.transitions[("+1", "0")] = ("0", "+1")
+    assert act_word(a, ["+1"], "0") == Defined(("1",), S("+0"))
+
+
 # ------------------------------------------------------------ property style
 
 

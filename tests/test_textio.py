@@ -1,6 +1,8 @@
 """Text format tests: parsing, resolution, serialization round-trips."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from autsg.errors import ParseError
 from autsg.gadgets import build_gadget
@@ -15,10 +17,11 @@ from autsg.textio import (
     serialize_instance,
     serialize_tm,
 )
-from autsg.turing import TuringMachineSpec
+from autsg.turing import MOVES, TuringMachineSpec
 from autsg.wordproblem import WordProblemInstance
 
-from helpers import S
+from helpers import S, rename_letters, rename_states
+from test_mealy import automata
 
 ADDING = build_gadget("adding")
 
@@ -183,6 +186,10 @@ def test_serializer_refuses_percent_tokens():
         ("tm t\ntape _\nstates z\ninitial z\nend\n", 1),
         ("tm t\ntape _\nblank _\nstates z\ninitial z\nrule z _ _ X z\nend\n", 6),
         ("acceptor a\nalphabet x\nstates s\ninitial s\nfinal\nt s x\nend\n", 6),
+        # a row naming an undeclared token is blamed, not the head line
+        ("mealy m\nalphabet a\nstates q\nt q a a zz\nend\n", 4),
+        ("acceptor x\nalphabet a\nstates s\ninitial s\nfinal s\nt s b s\nend\n", 6),
+        ("tm t\ntape _\nblank _\nstates z\ninitial z\nrule z _ _ N zz\nend\n", 6),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line):
@@ -254,3 +261,223 @@ def test_comments_and_blank_lines_everywhere():
     )
     doc = parse_text(text)
     assert doc.automata["m"].name == "m"
+
+
+def test_repeated_lines():
+    """Fixed-size lines and lhs/rhs: the last one wins. Lists add up."""
+    doc = parse_text(
+        "tm t\ntape _ a\ntape b\nblank a\nblank _\nstates y\nstates z\n"
+        "initial z\ninitial y\nfinal y\nfinal z\nend\n"
+        "instance\nautomaton m\nautomaton n\nlhs a b\nlhs c\nrhs d\nrhs\n"
+        "constraint x\nconstraint y\nbudget 5\nbudget 7\nend\n"
+    )
+    tm = doc.machines["t"]
+    assert tm.tape_alphabet == {"_", "a", "b"} and tm.blank == "_"
+    assert tm.states == tm.finals == {"y", "z"} and tm.initial == "y"
+    (parsed,) = doc.instances
+    assert parsed.automaton_name == "n"
+    assert (parsed.lhs_tokens, parsed.rhs_tokens) == (("c",), ())
+    assert parsed.constraint_names == ("x", "y") and parsed.budget == 7
+
+
+def test_serialize_instance_golden():
+    ends0 = Acceptor(
+        "ends0",
+        ["0", "1"],
+        ["e", "f"],
+        {("e", "0", "f"), ("e", "1", "e"), ("f", "0", "f"), ("f", "1", "e")},
+        ["e"],
+        ["f"],
+    )
+    inst = WordProblemInstance(ADDING, S("~+1", "+0"), S("+1"), [ends0])
+    assert serialize_instance(inst, budget=9) == (
+        "mealy adding\n"
+        "alphabet 0 1\n"
+        "states +0 +1\n"
+        "t +0 0 0 +0\n"
+        "t +0 1 1 +0\n"
+        "t +1 0 1 +0\n"
+        "t +1 1 0 +1\n"
+        "end\n"
+        "acceptor ends0\n"
+        "alphabet 0 1\n"
+        "states e f\n"
+        "initial e\n"
+        "final f\n"
+        "t e 0 f\n"
+        "t e 1 e\n"
+        "t f 0 f\n"
+        "t f 1 e\n"
+        "end\n"
+        "instance\n"
+        "automaton adding\n"
+        "lhs ~+1 +0\n"
+        "rhs +1\n"
+        "constraint ends0\n"
+        "budget 9\n"
+        "end\n"
+    )
+
+
+# ------------------------------------------------------------ property style
+
+# tokens with the characters the format treats specially ("~", "#") inside
+NAMES = st.text("ab~#_+", min_size=1, max_size=3)
+LETTERS = NAMES.filter(lambda t: not t.startswith("~"))
+TAPE = LETTERS.filter(lambda t: t != "#")
+
+
+def _distinct(draw, tokens, n):
+    return draw(st.lists(tokens, min_size=n, max_size=n, unique=True))
+
+
+@st.composite
+def named_automata(draw):
+    """test_mealy.automata() with its name, states and letters redrawn."""
+    aut = draw(automata())
+    states = _distinct(draw, NAMES, len(aut.states))
+    letters = _distinct(draw, LETTERS, len(aut.alphabet))
+    aut = rename_states(aut, dict(zip(sorted(aut.states), states)), draw(NAMES))
+    return rename_letters(aut, dict(zip(sorted(aut.alphabet), letters)))
+
+
+@st.composite
+def acceptors(draw, alphabet=None):
+    letters = sorted(alphabet or draw(st.sets(LETTERS, min_size=1, max_size=3)))
+    states = sorted(draw(st.sets(NAMES, min_size=1, max_size=3)))
+    triples = st.tuples(
+        st.sampled_from(states), st.sampled_from(letters), st.sampled_from(states)
+    )
+    return Acceptor(
+        draw(NAMES),
+        letters,
+        states,
+        draw(st.sets(triples, max_size=6)),
+        draw(st.sets(st.sampled_from(states), min_size=1)),
+        draw(st.sets(st.sampled_from(states))),
+    )
+
+
+@st.composite
+def machines(draw):
+    tape = sorted(draw(st.sets(TAPE, min_size=1, max_size=3)))
+    states = sorted(draw(st.sets(NAMES, min_size=1, max_size=3)))
+    rules = draw(
+        st.dictionaries(
+            st.tuples(st.sampled_from(states), st.sampled_from(tape)),
+            st.tuples(
+                st.sampled_from(tape), st.sampled_from(states), st.sampled_from(MOVES)
+            ),
+            max_size=6,
+        )
+    )
+    return TuringMachineSpec(
+        draw(NAMES),
+        tape,
+        draw(st.sampled_from(tape)),
+        states,
+        draw(st.sampled_from(states)),
+        draw(st.sets(st.sampled_from(states))),
+        rules,
+    )
+
+
+@st.composite
+def instances(draw):
+    """An instance with inverted items, constraints and maybe a budget, on
+    an automaton whose states emit pairwise distinct letters (so every ~q
+    is defined)."""
+    aut = draw(named_automata())
+    letters = sorted(aut.alphabet)
+    trans = {}
+    for q in sorted(aut.states):
+        outs = dict(zip(letters, draw(st.permutations(letters))))
+        for (p, a), (_b, nxt) in aut.transitions.items():
+            if p == q:
+                trans[q, a] = (outs[a], nxt)
+    aut = MealyAutomaton(aut.name, letters, aut.states, trans)
+    # an inversion spelled like a literal state cannot be written out
+    invertible = [q for q in sorted(aut.states) if "~" + q not in aut.states]
+    items = st.sampled_from(sorted(aut.states)).map(SignedState)
+    if invertible:
+        items |= st.sampled_from(invertible).map(lambda q: SignedState(q, True))
+    constraints = draw(
+        st.lists(acceptors(aut.alphabet), max_size=2, unique_by=lambda acc: acc.name)
+    )
+    inst = WordProblemInstance(
+        aut,
+        draw(st.lists(items, max_size=3)),
+        draw(st.lists(items, max_size=3)),
+        constraints,
+    )
+    return inst, draw(st.none() | st.integers(1, 10**6))
+
+
+@given(named_automata())
+def test_roundtrip_random_automata(aut):
+    assert parse_text(serialize_automaton(aut)).automata == {aut.name: aut}
+
+
+@given(acceptors())
+def test_roundtrip_random_acceptors(acc):
+    assert parse_text(serialize_acceptor(acc)).acceptors == {acc.name: acc}
+
+
+@given(machines())
+def test_roundtrip_random_machines(tm):
+    assert parse_text(serialize_tm(tm)).machines == {tm.name: tm}
+
+
+@given(instances())
+@settings(max_examples=60)
+def test_roundtrip_random_instances(drawn):
+    inst, budget = drawn
+    doc = parse_text(serialize_instance(inst, budget))
+    (parsed,) = doc.instances
+    assert parsed.budget == budget
+    assert doc.resolve(parsed) == inst
+
+
+# keyword -> argument count (None: any) by block kind; the soup mostly
+# keeps to these shapes, so that it reaches the builders and constructors
+SHAPES = {
+    "mealy": {"alphabet": None, "states": None, "t": 4},
+    "acceptor": {"alphabet": None, "states": None, "initial": None, "final": None, "t": 3},
+    "tm": {"tape": None, "blank": 1, "states": None, "initial": 1, "final": None, "rule": 5},
+    "instance": {"automaton": 1, "lhs": None, "rhs": None, "constraint": 1, "budget": 1},
+}
+WORDS = st.sampled_from("a b q z _ ~q # 0 7 L N R end include %".split()) | NAMES
+
+
+def _arguments(count):
+    """Mostly count words (any number where count is None), else any."""
+    anything = st.lists(WORDS, max_size=6)
+    if count is None:
+        return anything
+    exact = st.lists(WORDS, min_size=count, max_size=count)
+    return st.one_of(exact, exact, exact, anything)
+
+
+def _body_lines(shape):
+    """Lines of the shapes, now and then a line of random words."""
+    shaped = st.sampled_from(sorted(shape.items())).flatmap(
+        lambda kc: _arguments(kc[1]).map(lambda args: [kc[0], *args])
+    )
+    return st.one_of(*[shaped] * 4, st.lists(WORDS, min_size=1, max_size=6))
+
+
+@st.composite
+def soup_blocks(draw):
+    kind = draw(st.sampled_from(sorted(SHAPES)))
+    head = [kind, *draw(_arguments(0 if kind == "instance" else 1))]
+    return [head, *draw(st.lists(_body_lines(SHAPES[kind]), max_size=8)), ["end"]]
+
+
+@given(st.lists(soup_blocks(), max_size=3))
+@settings(max_examples=300)
+def test_token_soup_raises_only_parse_errors(blocks):
+    text = "\n".join(" ".join(line) for block in blocks for line in block)
+    try:
+        parse_text(text)
+    except ParseError:
+        pass
