@@ -17,12 +17,28 @@ _Table each automaton caches and fills row by row as states are first
 stepped (behind act_step, act_word and the word-problem search), and
 _subset_step, how a constraint acceptor's state subset reads one letter
 (behind acceptor_accepts and the search).
+
+_gc_paused runs a function with CPython's cyclic garbage collector switched
+off, and switches it back on when the function returns or raises. It wraps
+the entry points that build large tables of small objects: parse_file and
+parse_text in textio, build_tm_automaton in turing, check_properties here,
+and the word-problem search behind decide and oracle_decide. A collection
+that runs while they build would scan every object made so far and find
+nothing to free, because those tables hold strings, tuples, dicts and sets
+and no reference cycles (a _Table keeps no reference to its automaton).
+Reference counting still frees everything they discard, and a cycle made
+elsewhere is collected once the collector runs again. The collector is
+process-wide, so the pause is too: it covers other threads while it lasts,
+and one that was already off stays off. A generator function is refused,
+because the pause would last for as long as the generator is suspended.
 """
 
 from __future__ import annotations
 
+import gc
+import inspect
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -39,6 +55,24 @@ Word = tuple[Letter, ...]
 
 ZERO_STATE = "_zero"
 BOTTOM_LETTER = "_bot"
+
+
+def _gc_paused(fn):
+    """fn run with the cyclic garbage collector off; see the module docstring."""
+    if inspect.isgeneratorfunction(fn):
+        raise TypeError(f"cannot pause the collector around generator {fn.__name__}")
+
+    @wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
 
 
 def _check_letter_token(tok: str) -> None:
@@ -237,14 +271,15 @@ class Acceptor:
             _check_letter_token(tok)
         for tok in states:
             _check_state_token(tok)
-        transitions = frozenset(transitions)
-        initial = frozenset(initial)
-        final = frozenset(final)
-        for (q, a, p) in transitions:
+        transitions = tuple(transitions)
+        for (q, a, p) in transitions:  # in the order given, so the error repeats
             if q not in states or p not in states:
                 raise ValueError(f"acceptor transition ({q!r},{a!r},{p!r}) uses undeclared state")
             if a not in alphabet:
                 raise ValueError(f"acceptor transition letter {a!r} not in alphabet")
+        transitions = frozenset(transitions)
+        initial = frozenset(initial)
+        final = frozenset(final)
         if not initial:
             raise ValueError("acceptor needs at least one initial state")
         if not initial <= states or not final <= states:
@@ -417,6 +452,7 @@ def act_word(
     return Defined(tuple(out), StateSequence(map(table.item, items)))
 
 
+@_gc_paused
 def check_properties(automaton: MealyAutomaton) -> PropertyReport:
     """Classify the automaton. Determinism is true by representation (the
     transition table is a map); the other flags are computed.

@@ -50,7 +50,7 @@ from itertools import chain
 from pathlib import Path
 
 from .errors import AutomatonError, ParseError
-from .mealy import Acceptor, MealyAutomaton, SignedState, StateSequence
+from .mealy import Acceptor, MealyAutomaton, SignedState, StateSequence, _gc_paused
 from .turing import MOVES, TuringMachineSpec
 from .wordproblem import WordProblemInstance
 
@@ -119,6 +119,7 @@ def resolve_sequence(tokens, automaton: MealyAutomaton) -> StateSequence:
 # parsing
 
 
+@_gc_paused
 def parse_file(path: str | Path) -> DocumentSet:
     path = Path(path)
     doc = DocumentSet()
@@ -126,6 +127,7 @@ def parse_file(path: str | Path) -> DocumentSet:
     return doc
 
 
+@_gc_paused
 def parse_text(text: str, base_dir: str | Path | None = None) -> DocumentSet:
     doc = DocumentSet()
     base = Path(base_dir) if base_dir is not None else None
@@ -273,7 +275,7 @@ def _build_mealy(name: str, start: int, body: _Body) -> MealyAutomaton:
 def _build_acceptor(name: str, start: int, body: _Body) -> Acceptor:
     alphabet, states = _tokens(body["alphabet"]), _tokens(body["states"])
     initial, final = _tokens(body["initial"]), _tokens(body["final"])
-    triples = {(q, a, p) for _, (_, q, a, p) in body["t"]}
+    triples = [(q, a, p) for _, (_, q, a, p) in body["t"]]
     try:
         return Acceptor(name, alphabet, states, triples, initial, final)
     except (ValueError, AutomatonError) as exc:

@@ -47,6 +47,8 @@ from .mealy import (
     MealyAutomaton,
     StateSequence,
     Word,
+    _check_state_token,
+    _gc_paused,
     check_properties,
 )
 from .wordproblem import WordProblemInstance
@@ -108,6 +110,7 @@ class TuringMachineSpec:
         finals: Iterable[str],
         rules: Mapping[tuple[str, str], tuple[str, str, str]],
     ):
+        _check_state_token(name)
         tape_alphabet = frozenset(tape_alphabet)
         states = frozenset(states)
         finals = frozenset(finals)
@@ -336,6 +339,7 @@ def checker_family_size(n_delta: int) -> int:
     return 2 * n_delta**3 * (n_delta + 1) ** 2 + n_delta**3 + 3
 
 
+@_gc_paused
 def build_tm_automaton(
     tm: TuringMachineSpec, params: TmReductionParams, prune: bool = False
 ) -> MealyAutomaton:

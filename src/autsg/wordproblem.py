@@ -44,6 +44,7 @@ from .mealy import (
     SeqItem,
     StateSequence,
     Word,
+    _gc_paused,
     _subset_step,
     _thread,
     acceptor_accepts,
@@ -163,6 +164,7 @@ def _witness_verdict(letters: list, parents: dict, node) -> Verdict:
     return Verdict(NOT_EQUAL, word, lhs_value, rhs_value)
 
 
+@_gc_paused
 def _search(
     inst: WordProblemInstance,
     max_depth: int | None,

@@ -1,0 +1,126 @@
+"""The cyclic garbage collector around the table-building entry points.
+
+parse_text, build_tm_automaton, check_properties and the search behind
+decide and oracle_decide run with the collector paused, and leave it as
+they found it, whether they return or raise.
+"""
+
+import gc
+from contextlib import contextmanager
+
+import pytest
+
+from autsg.errors import ConfigBudgetExceeded, ParseError
+from autsg.gadgets import build_gadget, separation_instance
+from autsg.mealy import MealyAutomaton, _gc_paused, check_properties
+from autsg.textio import parse_text, serialize_automaton
+from autsg.turing import TmReductionParams, TuringMachineSpec, build_tm_automaton
+from autsg.wordproblem import WordProblemInstance, _search, decide, oracle_decide
+
+ADDING = build_gadget("adding")
+# 1,000 states in a ring over two letters: enough objects that building them
+# with the collector on starts several collections
+RING = MealyAutomaton(
+    "ring",
+    ["a", "b"],
+    [f"q{i}" for i in range(1000)],
+    {(f"q{i}", a): (a, f"q{(i + 1) % 1000}") for i in range(1000) for a in "ab"},
+)
+RING_TEXT = serialize_automaton(RING)
+TINY = TuringMachineSpec("tiny", ["_"], "_", ["z"], "z", ["z"], {})
+TINY_GROUP = TmReductionParams(p_val=1, group_variant=True)
+SEPARATION = separation_instance("dual-adding", 9)
+
+
+@contextmanager
+def _collector(on: bool):
+    """Switch the collector on or off, and back to what it was after."""
+    was = gc.isenabled()
+    (gc.enable if on else gc.disable)()
+    try:
+        yield on
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+@pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+def collector(request):
+    with _collector(request.param) as on:
+        yield on
+
+
+CALLS = {
+    "parse_text": lambda: parse_text(RING_TEXT),
+    "build_tm_automaton": lambda: build_tm_automaton(TINY, TINY_GROUP),
+    "check_properties": lambda: check_properties(RING),
+    "decide": lambda: decide(WordProblemInstance(ADDING, ["+1"], ["+0"])),
+    "oracle_decide": lambda: oracle_decide(WordProblemInstance(ADDING, ["+1"], ["+1"]), 4),
+}
+
+
+@pytest.mark.parametrize("call", CALLS.values(), ids=CALLS.keys())
+def test_collector_state_is_restored(collector, call):
+    call()
+    assert gc.isenabled() is collector
+
+
+def test_collector_state_is_restored_on_raise(collector):
+    with pytest.raises(ParseError):
+        parse_text("mealy m\nalphabet a\nstates q\nt q a a zz\nend\n")
+    assert gc.isenabled() is collector
+    with pytest.raises(ConfigBudgetExceeded):
+        decide(SEPARATION, max_configs=3)
+    assert gc.isenabled() is collector
+
+
+def _collections_during(call) -> int:
+    """How many collections start before call() returns."""
+    starts = []
+
+    def count(phase, _info):
+        if phase == "start":
+            starts.append(phase)
+
+    gc.callbacks.append(count)
+    try:
+        call()
+        return len(starts)
+    finally:
+        gc.callbacks.remove(count)
+
+
+PAUSED = {
+    "parse_text": (parse_text, (RING_TEXT,)),
+    "build_tm_automaton": (build_tm_automaton, (TINY, TINY_GROUP)),
+    "check_properties": (check_properties, (RING,)),
+    "search": (_search, (SEPARATION, None, None)),
+}
+
+
+@pytest.mark.parametrize("fn,args", PAUSED.values(), ids=PAUSED.keys())
+def test_no_collection_runs_inside_the_entry_points(fn, args):
+    with _collector(True):
+        # the same work unpaused starts collections, so the input is big enough
+        assert _collections_during(lambda: fn.__wrapped__(*args)) > 0
+        assert _collections_during(lambda: fn(*args)) == 0
+
+
+def test_pause_nests_and_refuses_generators():
+    @_gc_paused
+    def outer():
+        inner_state = inner()
+        return inner_state, gc.isenabled()
+
+    @_gc_paused
+    def inner():
+        return gc.isenabled()
+
+    with _collector(True):
+        assert outer() == (False, False)
+        assert gc.isenabled()
+
+    def gen():
+        yield 1
+
+    with pytest.raises(TypeError):
+        _gc_paused(gen)

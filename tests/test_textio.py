@@ -1,9 +1,15 @@
 """Text format tests: parsing, resolution, serialization round-trips."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import autsg
 from autsg.errors import ParseError
 from autsg.gadgets import build_gadget
 from autsg.mealy import Acceptor, MealyAutomaton, SignedState
@@ -196,6 +202,32 @@ def test_parse_errors_carry_line_numbers(text, line):
     with pytest.raises(ParseError) as exc:
         parse_text(text)
     assert exc.value.line == line
+
+
+def test_acceptor_error_does_not_depend_on_string_hashing():
+    # two triples with undeclared letters: the first one in the file is the
+    # one named, at its own line, whatever order a set would iterate them in
+    text = "acceptor z\nstates s t\ninitial s\nfinal t\nt s 0 t\nt t 1 s\nend\n"
+    script = (
+        "import sys\n"
+        "from autsg.errors import ParseError\n"
+        "from autsg.textio import parse_text\n"
+        "try:\n"
+        "    parse_text(sys.argv[1])\n"
+        "except ParseError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = str(Path(autsg.__file__).resolve().parents[1])
+    messages = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, text], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        messages.append(proc.stdout)
+    assert messages == ["line 5: acceptor transition letter '0' not in alphabet\n"] * 2
 
 
 def test_resolution_errors():

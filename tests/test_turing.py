@@ -91,6 +91,10 @@ def test_totalization_fills_stay_put_loops():
         dict(finals=["zz"]),
         dict(rules={("z0", "_"): ("_", "z0", "U")}),
         dict(rules={("z0", "q"): ("_", "z0", "N")}),
+        # the name becomes part of the reduction automaton's name, and is
+        # written as the head of a tm block
+        dict(name="my tm"),
+        dict(name=""),
     ],
 )
 def test_spec_validation(kwargs):
