@@ -21,16 +21,17 @@ _subset_step, how a constraint acceptor's state subset reads one letter
 _gc_paused runs a function with CPython's cyclic garbage collector switched
 off, and switches it back on when the function returns or raises. It wraps
 the entry points that build large tables of small objects: parse_file and
-parse_text in textio, build_tm_automaton in turing, check_properties here,
-and the word-problem search behind decide and oracle_decide. A collection
-that runs while they build would scan every object made so far and find
-nothing to free, because those tables hold strings, tuples, dicts and sets
-and no reference cycles (a _Table keeps no reference to its automaton).
-Reference counting still frees everything they discard, and a cycle made
-elsewhere is collected once the collector runs again. The collector is
-process-wide, so the pause is too: it covers other threads while it lasts,
-and one that was already off stays off. A generator function is refused,
-because the pause would last for as long as the generator is suspended.
+parse_text in textio, build_tm_automaton in turing, check_properties and
+minimize here, and the word-problem search behind decide and oracle_decide.
+A collection that runs while they build would scan every object made so far
+and find nothing to free, because those tables hold strings, tuples, dicts
+and sets and no reference cycles (a _Table keeps no reference to its
+automaton). Reference counting still frees everything they discard, and a
+cycle made elsewhere is collected once the collector runs again. The
+collector is process-wide, so the pause is too: it covers other threads
+while it lasts, and one that was already off stays off. A generator function
+is refused, because the pause would last for as long as the generator is
+suspended.
 """
 
 from __future__ import annotations
@@ -89,6 +90,19 @@ def _check_state_token(tok: str) -> None:
         raise ValueError(f"state name must be a non-empty string, got {tok!r}")
     if tok.split() != [tok]:
         raise ValueError(f"state name may not contain whitespace: {tok!r}")
+
+
+def _checked_tokens(
+    letters: Iterable[Letter], states: Iterable[State]
+) -> tuple[frozenset[Letter], frozenset[State]]:
+    """The letters and the states as frozensets, checked in the order given
+    first, so that the token an error names does not depend on hashing."""
+    letters, states = tuple(letters), tuple(states)
+    for tok in letters:
+        _check_letter_token(tok)
+    for tok in states:
+        _check_state_token(tok)
+    return frozenset(letters), frozenset(states)
 
 
 def as_word(letters: Iterable[Letter] | str) -> Word:
@@ -181,12 +195,7 @@ class MealyAutomaton:
         transitions: Mapping[tuple[State, Letter], tuple[Letter, State]],
     ):
         _check_state_token(name)
-        alphabet = frozenset(alphabet)
-        states = frozenset(states)
-        for tok in alphabet:
-            _check_letter_token(tok)
-        for tok in states:
-            _check_state_token(tok)
+        alphabet, states = _checked_tokens(alphabet, states)
         trans = dict(transitions)
         for (q, a), (b, p) in trans.items():
             if q not in states:
@@ -265,12 +274,7 @@ class Acceptor:
         final: Iterable[State],
     ):
         _check_state_token(name)
-        alphabet = frozenset(alphabet)
-        states = frozenset(states)
-        for tok in alphabet:
-            _check_letter_token(tok)
-        for tok in states:
-            _check_state_token(tok)
+        alphabet, states = _checked_tokens(alphabet, states)
         transitions = tuple(transitions)
         for (q, a, p) in transitions:  # in the order given, so the error repeats
             if q not in states or p not in states:
@@ -362,6 +366,19 @@ class _Table:
                 row[i] = (b, p) if row[i] is None else _AMBIGUOUS
         self.rows[s] = row
         return row
+
+    def forward_rows(self) -> list[list]:
+        """The rows of the forward states in state order. Where any is
+        missing they are all built in one pass over the transitions, which
+        is cheaper than a row() call per state."""
+        rows = self.rows[0::2]
+        if None in rows:
+            li, si = self.letter_index, self.state_index
+            rows = [[None] * len(self.letters) for _ in self.states]
+            for (q, a), (b, p) in self.transitions.items():
+                rows[si[q]][li[a]] = (li[b], 2 * si[p])
+            self.rows[0::2] = rows
+        return rows
 
     def check_inverse(self, item: SignedState) -> None:
         """Raise NotInverseDeterministic if the inverted item reaches an
@@ -582,3 +599,45 @@ def complete_with_zero(automaton: MealyAutomaton) -> MealyAutomaton:
     for a in alphabet:
         trans[(ZERO_STATE, a)] = (BOTTOM_LETTER, ZERO_STATE)
     return MealyAutomaton(f"{automaton.name}_hat", alphabet, states, trans)
+
+
+@_gc_paused
+def minimize(automaton: MealyAutomaton) -> tuple[MealyAutomaton, dict[State, State]]:
+    """The Moore quotient and the class of every state.
+
+    Partition refinement (Moore's algorithm) on the forward rows of the
+    integer table: states start in one class when they emit the same letter
+    on every input, an undefined transition counting as an output of its
+    own, and a class splits while two of its states move on some letter
+    into different classes. Each class is named by its least state name,
+    and class_of maps every state to that name. The quotient keeps the name
+    and the whole alphabet, so constraint acceptors still match it. A state
+    and its class act alike on every word, inverted too: their rows have
+    the same outputs, so ~q steps ambiguously exactly where ~class_of[q]
+    does. Names and orders do not depend on string hashing."""
+    table = automaton._table
+    outs, targets = [], []
+    for row in table.forward_rows():
+        # where undefined, the output -1 tells the states apart and the
+        # target, state 0, is never the only difference
+        outs.append(tuple([-1 if step is None else step[0] for step in row]))
+        targets.append([0 if step is None else step[1] >> 1 for step in row])
+    columns = list(zip(*targets))  # per letter, every state's target
+    ids: dict = {}
+    cls = [ids.setdefault(out, len(ids)) for out in outs]
+    count = 0
+    while len(ids) != count:  # a round that splits no class is stable
+        count = len(ids)
+        keys = zip(cls, *[map(cls.__getitem__, col) for col in columns])
+        ids = {}
+        cls = [ids.setdefault(key, len(ids)) for key in keys]
+    least: dict[int, State] = {}
+    class_of = {q: least.setdefault(c, q) for q, c in sorted(zip(table.states, cls))}
+    trans = automaton.transitions
+    quotient = {
+        (q, a): (trans[q, a][0], class_of[trans[q, a][1]])
+        for q in least.values()
+        for a in table.letters
+        if (q, a) in trans
+    }
+    return MealyAutomaton(automaton.name, automaton.alphabet, least.values(), quotient), class_of

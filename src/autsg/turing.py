@@ -111,10 +111,8 @@ class TuringMachineSpec:
         rules: Mapping[tuple[str, str], tuple[str, str, str]],
     ):
         _check_state_token(name)
-        tape_alphabet = frozenset(tape_alphabet)
-        states = frozenset(states)
-        finals = frozenset(finals)
-        for g in tape_alphabet:
+        tape_alphabet, states = tuple(tape_alphabet), tuple(states)
+        for g in tape_alphabet:  # in the order given, so the error repeats
             _check_tm_token(g, "tape symbol")
             if g in _RESERVED_LETTERS:
                 raise ValueError(f"tape symbol {g!r} collides with a reserved letter")
@@ -122,6 +120,7 @@ class TuringMachineSpec:
                 raise ValueError(f"tape symbol may not begin with '~': {g!r}")
         for z in states:
             _check_tm_token(z, "machine state")
+        tape_alphabet, states, finals = map(frozenset, (tape_alphabet, states, finals))
         if blank not in tape_alphabet:
             raise ValueError(f"blank {blank!r} must be in the tape alphabet")
         if initial not in states:
@@ -334,21 +333,17 @@ def _skip_name(window: tuple[str, str, str]) -> str:
 
 
 def checker_family_size(n_delta: int) -> int:
-    """Number of checker states before reachability pruning: both tags over
+    """Number of checker states the construction makes: both tags over
     window times lower-pair, the skip family, and the d1/d2/d3 tail."""
     return 2 * n_delta**3 * (n_delta + 1) ** 2 + n_delta**3 + 3
 
 
 @_gc_paused
-def build_tm_automaton(
-    tm: TuringMachineSpec, params: TmReductionParams, prune: bool = False
-) -> MealyAutomaton:
-    """The full reduction automaton over sigma = Delta + {0,1,#,$}.
-
-    prune=True keeps only states reachable from the sequence entry points
-    (the emitted default is the whole family, unreachable checker states
-    included). The group variant must pass the G-automaton check; failure
-    raises NotGAutomaton."""
+def build_tm_automaton(tm: TuringMachineSpec, params: TmReductionParams) -> MealyAutomaton:
+    """The full reduction automaton over sigma = Delta + {0,1,#,$}, the
+    whole checker family included, unreachable states too (minimize gives
+    its Moore quotient). The group variant must pass the G-automaton check;
+    failure raises NotGAutomaton."""
     delta = delta_alphabet(tm)
     sigma = sigma_alphabet(tm)
     group = params.group_variant
@@ -513,27 +508,6 @@ def build_tm_automaton(
                 used.add(out)
                 trans[(q, a)] = (out, SINK_STATE)
 
-    if prune:
-        roots = {CHECK_MARK_STATE, FORM_ENTRY, FULL_ENTRY, PROBE_ENTRY}
-        roots.update(
-            _chk(1, w, (None, None)) for w in itertools.product(delta, repeat=3)
-        )
-        if group:
-            roots.update({FAIL_ENTRY, SINK_STATE})
-        reachable = set(roots)
-        frontier = list(roots)
-        targets: dict[str, list[str]] = {}
-        for (q, _a), (_b, p) in trans.items():
-            targets.setdefault(q, []).append(p)
-        while frontier:
-            q = frontier.pop()
-            for p in targets.get(q, ()):
-                if p not in reachable:
-                    reachable.add(p)
-                    frontier.append(p)
-        states = reachable
-        trans = {(q, a): v for (q, a), v in trans.items() if q in reachable}
-
     name = f"tm-{tm.name}-group" if group else f"tm-{tm.name}"
     aut = MealyAutomaton(name, sigma, states, trans)
     if group and not check_properties(aut).is_g_automaton:
@@ -571,16 +545,14 @@ def structured_words_acceptor(
     return Acceptor("structured", sigma, states, trans, ("c0",), ("acc",))
 
 
-def reduce_tm(
-    tm: TuringMachineSpec, params: TmReductionParams, prune: bool = False
-) -> WordProblemInstance:
+def reduce_tm(tm: TuringMachineSpec, params: TmReductionParams) -> WordProblemInstance:
     """The full word-problem instance for this machine and width.
 
     Inverse-semigroup variant: [e, q_l, (check-mark, checker) * p_val, q_c]
     against the same without e. Group variant: [e] + pairs against the
     pairs, constrained to the structured-word language."""
     _validate_input_word(tm, params)
-    aut = build_tm_automaton(tm, params, prune=prune)
+    aut = build_tm_automaton(tm, params)
     c0 = initial_configuration(tm, params)
     p = params.p_val
     blank = tm.blank

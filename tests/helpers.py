@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import autsg
 from autsg import (
     Defined,
     MealyAutomaton,
@@ -85,3 +91,29 @@ def rename_states(
         {mapping[q] for q in automaton.states},
         trans,
     )
+
+
+def renamed(outcome, class_of: dict[str, str]):
+    """An action's outcome with the states of a Defined result's final
+    sequence renamed through class_of; any other outcome as it is."""
+    if not isinstance(outcome, Defined):
+        return outcome
+    final = [SignedState(class_of[s.base], s.inverted) for s in outcome.final]
+    return Defined(outcome.output, StateSequence(final))
+
+
+def stdout_under_hash_seeds(argv: list[str], seeds=("1", "4")) -> list[str]:
+    """The stdout of `python argv...` once per PYTHONHASHSEED, with this
+    checkout's autsg importable. Seeds 1 and 4 iterate small string sets in
+    different orders."""
+    src = str(Path(autsg.__file__).resolve().parents[1])
+    outputs = []
+    for seed in seeds:
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, *argv], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    return outputs

@@ -8,10 +8,11 @@ import subprocess
 import sys
 
 import pytest
-from helpers import S
+from helpers import S, stdout_under_hash_seeds
 
 from autsg.cli import run
 from autsg.gadgets import build_gadget
+from autsg.mealy import check_properties
 from autsg.textio import parse_text, serialize_automaton, serialize_instance, serialize_tm
 from autsg.turing import TuringMachineSpec, TmReductionParams, encode_computation
 from autsg.wordproblem import WordProblemInstance
@@ -229,12 +230,26 @@ def test_reduce_tm_cli_roundtrip(tmp_path, capsys):
 
 def test_reduce_tm_group_cli(tmp_path, capsys):
     f = _write(tmp_path, "acc.tm", TM_TEXT)
-    assert run(["reduce", "tm", f, "--space", "2", "--group", "--prune"]) == 0
+    assert run(["reduce", "tm", f, "--space", "2", "--group"]) == 0
     f2 = _write(tmp_path, "tmg.inst", capsys.readouterr().out)
     assert run(["decide", f2]) == 10
     tm = parse_text(TM_TEXT).machines["accnow"]
     expected = encode_computation(tm, TmReductionParams(p_val=2), 1)
     assert capsys.readouterr().out == "NOT-EQUAL witness: " + " ".join(expected) + "\n"
+
+
+def test_reduce_tm_emits_the_quotient(tmp_path, capsys):
+    # the Moore quotient of the group automaton: still a G-automaton, and
+    # the same bytes whatever order string sets iterate in
+    f = _write(tmp_path, "acc.tm", TM_TEXT)
+    assert run(["reduce", "tm", f, "--space", "2", "--group"]) == 0
+    text = capsys.readouterr().out
+    (automaton,) = parse_text(text).automata.values()
+    assert automaton.name == "tm-accnow-group"
+    assert len(automaton.states) < 100
+    assert check_properties(automaton).is_g_automaton
+    argv = ["-m", "autsg", "reduce", "tm", f, "--space", "2", "--group"]
+    assert stdout_under_hash_seeds(argv) == [text] * 2
 
 
 # --- bench -------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """The cyclic garbage collector around the table-building entry points.
 
-parse_text, build_tm_automaton, check_properties and the search behind
-decide and oracle_decide run with the collector paused, and leave it as
+parse_text, build_tm_automaton, check_properties, minimize and the search
+behind decide and oracle_decide run with the collector paused, and leave it as
 they found it, whether they return or raise.
 """
 
@@ -12,7 +12,7 @@ import pytest
 
 from autsg.errors import ConfigBudgetExceeded, ParseError
 from autsg.gadgets import build_gadget, separation_instance
-from autsg.mealy import MealyAutomaton, _gc_paused, check_properties
+from autsg.mealy import MealyAutomaton, _gc_paused, check_properties, minimize
 from autsg.textio import parse_text, serialize_automaton
 from autsg.turing import TmReductionParams, TuringMachineSpec, build_tm_automaton
 from autsg.wordproblem import WordProblemInstance, _search, decide, oracle_decide
@@ -53,6 +53,7 @@ CALLS = {
     "parse_text": lambda: parse_text(RING_TEXT),
     "build_tm_automaton": lambda: build_tm_automaton(TINY, TINY_GROUP),
     "check_properties": lambda: check_properties(RING),
+    "minimize": lambda: minimize(RING),
     "decide": lambda: decide(WordProblemInstance(ADDING, ["+1"], ["+0"])),
     "oracle_decide": lambda: oracle_decide(WordProblemInstance(ADDING, ["+1"], ["+1"]), 4),
 }
@@ -93,6 +94,7 @@ PAUSED = {
     "parse_text": (parse_text, (RING_TEXT,)),
     "build_tm_automaton": (build_tm_automaton, (TINY, TINY_GROUP)),
     "check_properties": (check_properties, (RING,)),
+    "minimize": (minimize, (RING,)),
     "search": (_search, (SEPARATION, None, None)),
 }
 

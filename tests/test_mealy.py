@@ -32,9 +32,10 @@ from autsg import (
     complete_with_zero,
     dual,
     invert,
+    minimize,
     union,
 )
-from helpers import S, W, act, rename_letters, rename_states
+from helpers import S, W, act, rename_letters, rename_states, renamed, stdout_under_hash_seeds
 
 ADDING = build_gadget("adding")
 FREE = build_gadget("free")
@@ -369,20 +370,97 @@ def test_transitions_are_read_only():
     assert act_word(a, ["+1"], "0") == Defined(("1",), S("+0"))
 
 
+def test_token_errors_do_not_depend_on_string_hashing():
+    # several bad tokens: the first one given is the one named, whatever
+    # order a set would iterate them in
+    script = (
+        "from autsg.mealy import Acceptor, MealyAutomaton\n"
+        "from autsg.turing import TuringMachineSpec\n"
+        "for make in (\n"
+        "    lambda: MealyAutomaton('m', ['~a', '~b', '~c'], ['q'], {}),\n"
+        "    lambda: MealyAutomaton('m', ['a'], ['p q', 'r s', 't u'], {}),\n"
+        "    lambda: Acceptor('z', ['~a', '~b', '~c'], ['s'], [], ['s'], []),\n"
+        "    lambda: TuringMachineSpec('m', ['_', 'a:b', 'c|d', 'e:f'], '_', ['z'], 'z', [], {}),\n"
+        "    lambda: TuringMachineSpec('m', ['_'], '_', ['z:0', 'z|1', 'z:2'], 'z:0', [], {}),\n"
+        "):\n"
+        "    try:\n"
+        "        make()\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
+    )
+    expected = (
+        "letter token may not begin with '~': '~a'\n"
+        "state name may not contain whitespace: 'p q'\n"
+        "letter token may not begin with '~': '~a'\n"
+        "tape symbol may not contain ':' or '|': 'a:b'\n"
+        "machine state may not contain ':' or '|': 'z:0'\n"
+    )
+    assert stdout_under_hash_seeds(["-c", script]) == [expected] * 2
+
+
+# ---------------------------------------------------------------- minimize
+
+
+def test_minimize_merges_copies():
+    both = union(ADDING, ADDING)
+    quotient, class_of = minimize(both)
+    assert class_of == {"l_+0": "l_+0", "r_+0": "l_+0", "l_+1": "l_+1", "r_+1": "l_+1"}
+    named = rename_states(ADDING, {"+0": "l_+0", "+1": "l_+1"}, name=both.name)
+    assert quotient == named
+
+
+def test_minimize_tells_undefined_apart():
+    # p and r loop on a and are undefined on b; s is undefined on both, and
+    # t emits on b the letter p emits on a, into s
+    aut = MealyAutomaton(
+        "u",
+        ["a", "b"],
+        ["p", "r", "s", "t"],
+        {("p", "a"): ("a", "p"), ("r", "a"): ("a", "r"), ("t", "b"): ("a", "s")},
+    )
+    quotient, class_of = minimize(aut)
+    assert class_of == {"p": "p", "r": "p", "s": "s", "t": "t"}
+    assert quotient.alphabet == aut.alphabet
+    assert dict(quotient.transitions) == {("p", "a"): ("a", "p"), ("t", "b"): ("a", "s")}
+
+
+def test_minimize_splits_at_every_depth():
+    # two copies of a ring of six states on a, where only q0 and r0 emit b:
+    # q_i and q_j first differ after min(i, j) letters, and q_i equals r_i
+    trans = {}
+    for c in "qr":
+        for i in range(6):
+            trans[(f"{c}{i}", "a")] = ("b" if i == 0 else "a", f"{c}{(i + 1) % 6}")
+    aut = MealyAutomaton("ring", ["a", "b"], sorted({q for q, _ in trans}), trans)
+    quotient, class_of = minimize(aut)
+    assert class_of == {f"{c}{i}": f"q{i}" for c in "qr" for i in range(6)}
+    assert dict(quotient.transitions) == {k: v for k, v in trans.items() if k[0][0] == "q"}
+
+
+def test_minimize_without_letters_or_states():
+    quotient, class_of = minimize(MealyAutomaton("e", [], ["q", "p"], {}))
+    assert class_of == {"p": "p", "q": "p"} and quotient.states == {"p"}
+    quotient, class_of = minimize(MealyAutomaton("e", ["a"], [], {}))
+    assert class_of == {} and quotient.states == frozenset()
+
+
 # ------------------------------------------------------------ property style
 
 
 @st.composite
-def automata(draw, max_states=4, max_letters=3, complete=False):
+def automata(draw, max_states=4, max_letters=3, complete=False, group=False):
+    """Random automata; group=True draws G-automata, each state's outputs a
+    permutation of the letters."""
     n_q = draw(st.integers(1, max_states))
     n_a = draw(st.integers(1, max_letters))
     states = [f"q{i}" for i in range(n_q)]
     letters = [f"x{i}" for i in range(n_a)]
     trans = {}
     for q in states:
-        for a in letters:
-            if complete or draw(st.booleans()):
-                out = draw(st.sampled_from(letters))
+        outs = draw(st.permutations(letters)) if group else None
+        for i, a in enumerate(letters):
+            if complete or group or draw(st.booleans()):
+                out = outs[i] if group else draw(st.sampled_from(letters))
                 nxt = draw(st.sampled_from(states))
                 trans[(q, a)] = (out, nxt)
     return MealyAutomaton("rand", letters, states, trans)
@@ -448,3 +526,38 @@ def test_double_inversion_restores(aut):
     twice = invert(invert(aut))
     back = rename_states(twice, {q: q[2:] for q in twice.states})
     assert back.same_structure(aut)
+
+
+@given(automata(max_states=6), st.data())
+def test_minimize_keeps_every_action(aut, data):
+    quotient, class_of = minimize(aut)
+    assert set(class_of) == aut.states and set(class_of.values()) == quotient.states
+    assert all(class_of[q] <= q for q in aut.states)
+    letters, states = sorted(aut.alphabet), sorted(aut.states)
+    words = data.draw(st.lists(st.lists(st.sampled_from(letters), max_size=6), min_size=1, max_size=3))
+    seq = data.draw(st.lists(st.tuples(st.sampled_from(states), st.booleans()), max_size=3))
+    seqs = [[SignedState(q, inv)] for q in states for inv in (False, True)]
+    seqs.append([SignedState(q, inv) for q, inv in seq])
+    for items in seqs:
+        classes = [SignedState(class_of[i.base], i.inverted) for i in items]
+        for word in words:
+            got = _outcome(lambda: act_word(quotient, classes, word))
+            assert got == renamed(_outcome(lambda: act_word(aut, items, word)), class_of)
+
+
+@given(automata())
+def test_minimize_is_idempotent(aut):
+    quotient, _ = minimize(aut)
+    again, class_of = minimize(quotient)
+    assert again == quotient
+    assert class_of == {q: q for q in quotient.states}
+
+
+@given(automata(), automata(group=True))
+def test_minimize_keeps_the_class_flags(aut, group):
+    assert check_properties(group).is_g_automaton
+    for automaton in (aut, group):
+        before = check_properties(automaton)
+        after = check_properties(minimize(automaton)[0])
+        for flag in ("complete", "inverse_deterministic", "inverse_complete", "is_g_automaton"):
+            assert getattr(after, flag) == getattr(before, flag)

@@ -1,15 +1,9 @@
 """Text format tests: parsing, resolution, serialization round-trips."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import autsg
 from autsg.errors import ParseError
 from autsg.gadgets import build_gadget
 from autsg.mealy import Acceptor, MealyAutomaton, SignedState
@@ -26,7 +20,7 @@ from autsg.textio import (
 from autsg.turing import MOVES, TuringMachineSpec
 from autsg.wordproblem import WordProblemInstance
 
-from helpers import S, rename_letters, rename_states
+from helpers import S, rename_letters, rename_states, stdout_under_hash_seeds
 from test_mealy import automata
 
 ADDING = build_gadget("adding")
@@ -217,16 +211,7 @@ def test_acceptor_error_does_not_depend_on_string_hashing():
         "except ParseError as exc:\n"
         "    print(exc)\n"
     )
-    src = str(Path(autsg.__file__).resolve().parents[1])
-    messages = []
-    for seed in ("1", "2"):
-        env = dict(os.environ, PYTHONHASHSEED=seed)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", script, text], capture_output=True, text=True, env=env
-        )
-        assert proc.returncode == 0, proc.stderr
-        messages.append(proc.stdout)
+    messages = stdout_under_hash_seeds(["-c", script, text], seeds=("1", "2"))
     assert messages == ["line 5: acceptor transition letter '0' not in alphabet\n"] * 2
 
 

@@ -11,7 +11,14 @@ import random
 import pytest
 
 from autsg.errors import LeftEdgeViolated, SpaceBoundViolated
-from autsg.mealy import Defined, UndefinedAt, acceptor_accepts, act_word, check_properties
+from autsg.mealy import (
+    Defined,
+    UndefinedAt,
+    acceptor_accepts,
+    act_word,
+    check_properties,
+    minimize,
+)
 from autsg.turing import (
     TmReductionParams,
     TuringMachineSpec,
@@ -27,7 +34,9 @@ from autsg.turing import (
     simulate_tm,
     structured_words_acceptor,
 )
-from autsg.wordproblem import NOT_EQUAL, decide
+from autsg.wordproblem import NOT_EQUAL, WordProblemInstance, decide
+
+from helpers import renamed
 
 # Accepts immediately, regardless of input.
 ACCEPT_NOW = TuringMachineSpec(
@@ -305,15 +314,18 @@ def test_random_machines_stay_in_class():
         ).is_g_automaton
 
 
-def test_prune_drops_unreachable_checkers_only():
+def test_minimize_keeps_the_literal_actions():
     params = TmReductionParams(p_val=2)
     full = build_tm_automaton(ACCEPT_NOW, params)
-    pruned = build_tm_automaton(ACCEPT_NOW, params, prune=True)
-    assert len(pruned.states) < len(full.states)
-    assert "mark" in pruned.states and "form0" in pruned.states
-    u = encode_computation(ACCEPT_NOW, params, 1)
+    quotient, class_of = minimize(full)
+    assert len(quotient.states) < len(full.states)
+    assert quotient.name == full.name and quotient.alphabet == full.alphabet
     items = ["full0", "mark", checker_entry(("_", "_:z0", "_")), "form0"]
-    assert act_word(full, items, u) == act_word(pruned, items, u)
+    classes = [class_of[q] for q in items]
+    assert set(classes) <= quotient.states
+    for T in (1, 2):
+        u = encode_computation(ACCEPT_NOW, params, T)
+        assert act_word(quotient, classes, u) == renamed(act_word(full, items, u), class_of)
 
 
 # --- instances -------------------------------------------------------------
@@ -416,3 +428,25 @@ def test_head_token_collisions_rejected_early():
     # silently merge two automaton states, so it is rejected up front
     with pytest.raises(ValueError):
         TuringMachineSpec("bad", ["_", "a:b"], "_", ["z0"], "z0", [], {})
+
+
+# Moore classes at p = 3, for the machines the benchmark runs
+CLASSES = {("scan", False): 72, ("scan", True): 64, ("looper", False): 66, ("looper", True): 57}
+
+
+@pytest.mark.parametrize("group", [False, True], ids=["inverse", "group"])
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize(
+    "tm,inputs",
+    [(SCANNER, {2: ("a",), 3: ("a", "a")}), (LOOPER, {}), (ACCEPT_NOW, {})],
+    ids=["scan", "looper", "accnow"],
+)
+def test_quotient_instance_keeps_the_verdict(tm, inputs, p, group):
+    params = TmReductionParams(p_val=p, input_word=inputs.get(p, ()), group_variant=group)
+    inst = reduce_tm(tm, params)
+    quotient, class_of = minimize(inst.automaton)
+    if p == 3 and (tm.name, group) in CLASSES:
+        assert len(quotient.states) == CLASSES[tm.name, group]
+    lhs, rhs = ([class_of[s.base] for s in seq] for seq in (inst.lhs, inst.rhs))
+    small = WordProblemInstance(quotient, lhs, rhs, inst.constraints)
+    assert decide(small) == decide(inst)
