@@ -11,17 +11,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 from dataclasses import fields as dataclass_fields
 
 from .errors import AutomatonError, ConfigBudgetExceeded, ParseError
-from .gadgets import (
-    GADGET_NAMES,
-    build_gadget,
-    separation_instance,
-    separation_witness,
-    separation_witness_dprime,
-)
+from .gadgets import GADGET_NAMES, build_gadget, separation_instance
 from .mealy import Defined, SignedState, act_word, check_properties, minimize
 from .reductions import DfaList, reduce_dfa_emptiness, reduce_dfa_intersection
 from .textio import (
@@ -180,20 +173,6 @@ def _cmd_encode_tm(args) -> int:
     return 0
 
 
-def _cmd_bench_separation(args) -> int:
-    witness_of = (
-        separation_witness_dprime
-        if args.family == "dual-adding-prime"
-        else separation_witness
-    )
-    for n in range(1, args.max_n + 1):
-        t0 = time.perf_counter()
-        length, _ = witness_of(n)
-        dt = time.perf_counter() - t0
-        print(f"n={n} witness-length={length} time={dt * 1000:.1f}ms")
-    return 0
-
-
 def _add_porcelain(p) -> None:
     p.add_argument("--porcelain", action="store_true", help="stable one-line output")
 
@@ -255,17 +234,6 @@ def _build_parser() -> _Parser:
     q.add_argument("--space", type=int, required=True)
     q.add_argument("--steps", type=int, required=True)
     q.set_defaults(func=_cmd_encode_tm)
-
-    p = sub.add_parser("bench", help="timing drivers")
-    bsub = p.add_subparsers(dest="target", required=True, parser_class=_Parser)
-    q = bsub.add_parser("separation", help="witness growth for the dual gadgets")
-    q.add_argument("--max-n", type=int, required=True)
-    q.add_argument(
-        "--family",
-        choices=["dual-adding", "dual-adding-prime"],
-        default="dual-adding",
-    )
-    q.set_defaults(func=_cmd_bench_separation)
 
     return parser
 

@@ -13,10 +13,8 @@ Five small machines, each interesting for a different reason:
 * the same dual extended by a constant state q.
 
 The counter behaviour gives word-problem instances whose shortest witnesses
-have length exponential in the sequence length; separation_instance builds
-those instances, and separation_witness and separation_witness_dprime run
-the decision procedure on them and assert the expected 2**(n-1) witness
-length.
+have length exponential in the sequence length: separation_instance builds
+them, and decide finds witnesses of length 2**(n-1) on the n-th.
 """
 
 from __future__ import annotations
@@ -24,8 +22,8 @@ from __future__ import annotations
 import functools
 from typing import Callable
 
-from .mealy import MealyAutomaton, StateSequence, Word
-from .wordproblem import NOT_EQUAL, WordProblemInstance, decide
+from .mealy import MealyAutomaton, StateSequence
+from .wordproblem import WordProblemInstance
 
 
 def _adding_machine() -> MealyAutomaton:
@@ -127,9 +125,12 @@ def counter_sequence(value: int, width: int) -> StateSequence:
 
 
 def separation_instance(name: str, n: int) -> WordProblemInstance:
-    """The n-th exponential-separation instance on a dual-adding gadget: n
-    copies of state 0 against n-1 on dual-adding, n-1 copies of state 0
-    against the constant state q on dual-adding-prime."""
+    """The n-th exponential-separation instance on a dual-adding gadget,
+    whose shortest witness is a**(2**(n-1)). On dual-adding it is n copies
+    of state 0 against n-1: width-n and width-(n-1) counters, which first
+    disagree when the narrow one overflows. On dual-adding-prime it is n-1
+    copies of state 0 against the constant state q: q always emits b, and
+    the counter first emits a when it overflows."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if name == "dual-adding":
@@ -142,30 +143,3 @@ def separation_instance(name: str, n: int) -> WordProblemInstance:
         )
     return WordProblemInstance(build_gadget(name), lhs, rhs)
 
-
-def _separation(name: str, n: int, max_configs: int | None) -> tuple[int, Word]:
-    verdict = decide(separation_instance(name, n), max_configs=max_configs)
-    assert verdict.kind == NOT_EQUAL and verdict.witness is not None
-    length = len(verdict.witness)
-    assert length == 2 ** (n - 1), (
-        f"expected witness length {2 ** (n - 1)}, decide found {length}"
-    )
-    return length, verdict.witness
-
-
-def separation_witness(n: int, max_configs: int | None = None) -> tuple[int, Word]:
-    """Shortest word separating n copies of state 0 from n-1 copies, on the
-    dual adding machine. Returns (length, witness) with length asserted to
-    be 2**(n-1): the two sides are width-n and width-(n-1) counters that
-    first disagree when the narrow one overflows."""
-    return _separation("dual-adding", n, max_configs)
-
-
-def separation_witness_dprime(
-    n: int, max_configs: int | None = None
-) -> tuple[int, Word]:
-    """Shortest word separating n-1 copies of state 0 from the constant
-    state q, on the extended dual adding machine. Returns (length, witness)
-    with length asserted to be 2**(n-1): q always emits b, the counter first
-    emits a when it overflows."""
-    return _separation("dual-adding-prime", n, max_configs)

@@ -105,13 +105,6 @@ def _checked_tokens(
     return frozenset(letters), frozenset(states)
 
 
-def as_word(letters: Iterable[Letter] | str) -> Word:
-    """Coerce a word argument. A plain str is split into characters, which is
-    convenient for single-character alphabets; multi-character tokens must be
-    passed as an iterable of tokens."""
-    return tuple(letters)
-
-
 @dataclass(frozen=True)
 class SignedState:
     """A state, possibly inverted. Inversion never changes during an action:
@@ -214,12 +207,7 @@ class MealyAutomaton:
     def __eq__(self, other) -> bool:
         if not isinstance(other, MealyAutomaton):
             return NotImplemented
-        return (
-            self.name == other.name
-            and self.alphabet == other.alphabet
-            and self.states == other.states
-            and self.transitions == other.transitions
-        )
+        return self.name == other.name and self.same_structure(other)
 
     __hash__ = None  # equality compares transition tables, which do not hash
 
@@ -239,14 +227,20 @@ class MealyAutomaton:
 
 @dataclass(frozen=True)
 class PropertyReport:
-    deterministic: bool
+    """The class flags of an automaton; see check_properties."""
+
     complete: bool
     inverse_deterministic: bool
     inverse_complete: bool
     reversible: bool
     bireversible: bool
-    is_s_bar_automaton: bool
     is_g_automaton: bool
+
+    @property
+    def is_s_bar_automaton(self) -> bool:
+        """Membership in the paper's class of partial invertible automata,
+        which generate automaton-inverse semigroups: inverse_deterministic."""
+        return self.inverse_deterministic
 
 
 @dataclass(frozen=True)
@@ -318,7 +312,7 @@ def _subset_step(
 def acceptor_accepts(acc: Acceptor, word: Iterable[Letter] | str) -> bool:
     step_map = acc.step_map()
     cur = acc.initial
-    for a in as_word(word):
+    for a in word:
         cur = _subset_step(step_map, cur, a)
         if not cur:
             return False
@@ -458,7 +452,7 @@ def act_word(
     table = automaton._table
     items = [table.signed(s) for s in seq.items]
     out: list[Letter] = []
-    for idx, letter in enumerate(as_word(word)):
+    for idx, letter in enumerate(word):
         a = table.letter_index.get(letter)
         if a is None:
             raise UnknownLetter(f"{letter!r} is not a letter of {automaton.name}")
@@ -479,40 +473,22 @@ def check_properties(automaton: MealyAutomaton) -> PropertyReport:
     inverse_complete: per state, every alphabet letter occurs as an output.
     reversible: per (target state, input letter), at most one incoming
     transition; bireversible additionally bounds (target, output) pairs.
-    """
-    n_letters = len(automaton.alphabet)
-    complete = len(automaton.transitions) == len(automaton.states) * n_letters
-    inv_det = True
-    inv_complete = True
-    outs: dict[State, set[Letter]] = {q: set() for q in automaton.states}
-    for (q, _a), (b, _p) in automaton.transitions.items():
-        if b in outs[q]:
-            inv_det = False
-        outs[q].add(b)
-    for q in automaton.states:
-        if len(outs[q]) != n_letters:
-            inv_complete = False
-            break
-    in_by_input: set[tuple[State, Letter]] = set()
-    in_by_output: set[tuple[State, Letter]] = set()
-    reversible = True
-    birev_half = True
-    for (q, a), (b, p) in automaton.transitions.items():
-        if (p, a) in in_by_input:
-            reversible = False
-        in_by_input.add((p, a))
-        if (p, b) in in_by_output:
-            birev_half = False
-        in_by_output.add((p, b))
+    is_g_automaton: complete and inverse_deterministic.
+
+    Each flag compares a count of distinct pairs with the number of
+    transitions (no repeats) or with states * letters (every pair occurs)."""
+    trans = automaton.transitions
+    n, full = len(trans), len(automaton.states) * len(automaton.alphabet)
+    outputs = len({(q, b) for (q, _a), (b, _p) in trans.items()})
+    reversible = len({(p, a) for (_q, a), (_b, p) in trans.items()}) == n
+    bireversible = reversible and len({(p, b) for b, p in trans.values()}) == n
     return PropertyReport(
-        deterministic=True,
-        complete=complete,
-        inverse_deterministic=inv_det,
-        inverse_complete=inv_complete,
+        complete=n == full,
+        inverse_deterministic=outputs == n,
+        inverse_complete=outputs == full,
         reversible=reversible,
-        bireversible=reversible and birev_half,
-        is_s_bar_automaton=inv_det,
-        is_g_automaton=complete and inv_det,
+        bireversible=bireversible,
+        is_g_automaton=n == full and outputs == n,
     )
 
 

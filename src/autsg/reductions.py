@@ -69,10 +69,6 @@ class DfaList:
     def r(self) -> int:
         return len(self.dfas)
 
-    @property
-    def max_size(self) -> int:
-        return max(len(acc.states) for acc in self.dfas)
-
 
 def dfa_intersection_empty(d: DfaList) -> bool:
     """Product-automaton reachability: true iff no jointly-final product

@@ -31,6 +31,7 @@ cross-validation at small bounds.
 
 from __future__ import annotations
 
+import enum
 import itertools
 from collections import deque
 from dataclasses import dataclass
@@ -55,21 +56,19 @@ EQUAL = "Equal"
 NOT_EQUAL = "NotEqual"
 
 
-class _UndefinedType:
-    """Marker for an undefined side value in a Verdict."""
+class _UndefinedType(enum.Enum):
+    """Marker for an undefined side value in a Verdict. As an enum member it
+    stays one object through copy and pickle."""
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    UNDEFINED = "Undefined"
 
     def __repr__(self) -> str:
         return "Undefined"
 
+    __str__ = __repr__
 
-UNDEFINED = _UndefinedType()
+
+UNDEFINED = _UndefinedType.UNDEFINED
 
 
 @dataclass(frozen=True)
@@ -233,8 +232,10 @@ def decide(inst: WordProblemInstance, max_configs: int | None = None) -> Verdict
     """Decide the constrained word problem exactly.
 
     Raises ConfigBudgetExceeded when the explored configuration count passes
-    the caller-supplied cap; with no cap, termination follows from the finite
-    configuration space (see config_bound)."""
+    the caller-supplied cap, which must be at least 1; with no cap,
+    termination follows from the finite configuration space (see config_bound)."""
+    if max_configs is not None and max_configs < 1:
+        raise ValueError("max_configs must be >= 1")
     return _search(inst, max_depth=None, max_configs=max_configs)
 
 

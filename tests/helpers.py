@@ -62,6 +62,31 @@ def act(automaton: MealyAutomaton, seq, word) -> Defined | UndefinedAt:
     return Defined(tuple(out), StateSequence(items))
 
 
+def class_flags(automaton: MealyAutomaton) -> dict[str, bool]:
+    """Literal reference for check_properties: every flag, is_s_bar_automaton
+    included, by its definition in check_properties' docstring, checked
+    state by state on the transitions out of and into each state."""
+    trans, letters = automaton.transitions, automaton.alphabet
+    complete = inv_det = inv_complete = reversible = birev_half = True
+    for q in automaton.states:
+        outputs = [trans[q, a][0] for a in letters if (q, a) in trans]
+        complete &= len(outputs) == len(letters)
+        inv_det &= len(set(outputs)) == len(outputs)
+        inv_complete &= set(outputs) == letters
+        incoming = [(a, b) for (_s, a), (b, p) in trans.items() if p == q]
+        reversible &= len({a for a, _b in incoming}) == len(incoming)
+        birev_half &= len({b for _a, b in incoming}) == len(incoming)
+    return {
+        "complete": complete,
+        "inverse_deterministic": inv_det,
+        "inverse_complete": inv_complete,
+        "reversible": reversible,
+        "bireversible": reversible and birev_half,
+        "is_s_bar_automaton": inv_det,
+        "is_g_automaton": complete and inv_det,
+    }
+
+
 def rename_letters(
     automaton: MealyAutomaton, mapping: dict[str, str], name: str | None = None
 ) -> MealyAutomaton:

@@ -15,7 +15,7 @@ import random
 import time
 
 from autsg.errors import LeftEdgeViolated, SpaceBoundViolated
-from autsg.gadgets import build_gadget, separation_witness, separation_witness_dprime
+from autsg.gadgets import build_gadget, separation_instance
 from autsg.mealy import (
     Acceptor,
     Defined,
@@ -134,15 +134,15 @@ def test_criterion_2_exponential_separation():
     _register(dp)
     prime_base = len(dp.states) - 1
     for n in range(1, 17):
-        length, wit = separation_witness(n)
-        if length != 2 ** (n - 1) or len(wit) != length:
-            problems.append(f"n={n}: main family witness length {length}")
-        length_p, wit_p = separation_witness_dprime(n)
+        v = decide(separation_instance("dual-adding", n))
+        if v.kind != NOT_EQUAL or len(v.witness) != 2 ** (n - 1):
+            problems.append(f"n={n}: main family {v.kind}, witness {v.witness!r:.40}")
+        v = decide(separation_instance("dual-adding-prime", n))
         # (state count - 1) raised to (total sequence items - 1); the two
         # sides have n-1 and 1 items, so this equals 2**(n-1)
         want = prime_base ** ((n - 1) + 1 - 1)
-        if length_p != want or want != 2 ** (n - 1) or len(wit_p) != length_p:
-            problems.append(f"n={n}: extended family witness length {length_p}")
+        if v.kind != NOT_EQUAL or want != 2 ** (n - 1) or len(v.witness) != want:
+            problems.append(f"n={n}: extended family {v.kind}, witness {v.witness!r:.40}")
     for n in range(1, 6):
         bound = 2 ** (n - 1) - 1
         v = oracle_decide(
@@ -620,13 +620,11 @@ def test_criterion_8_structural_invariants():
     # the partial reversible example carries exactly the expected flag set
     rep = check_properties(build_gadget("bireversible"))
     want_rep = PropertyReport(
-        deterministic=True,
         complete=False,
         inverse_deterministic=False,
         inverse_complete=False,
         reversible=True,
         bireversible=True,
-        is_s_bar_automaton=False,
         is_g_automaton=False,
     )
     if rep != want_rep:

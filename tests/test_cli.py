@@ -3,7 +3,6 @@
 Everything runs in-process through run() except one subprocess smoke test.
 """
 
-import re
 import subprocess
 import sys
 
@@ -11,7 +10,7 @@ import pytest
 from helpers import S, stdout_under_hash_seeds
 
 from autsg.cli import run
-from autsg.gadgets import build_gadget
+from autsg.gadgets import build_gadget, separation_instance
 from autsg.mealy import check_properties
 from autsg.textio import parse_text, serialize_automaton, serialize_instance, serialize_tm
 from autsg.turing import TuringMachineSpec, TmReductionParams, encode_computation
@@ -66,10 +65,10 @@ def test_act_inverted_sequence(adding_file, capsys):
 def test_check_bireversible_example(tmp_path, capsys):
     f = _write(tmp_path, "bi.aut", serialize_automaton(build_gadget("bireversible")))
     assert run(["check", f]) == 0
-    out = capsys.readouterr().out
-    assert "bireversible=true" in out
-    assert "inverse-deterministic=false" in out
-    assert "is-g-automaton=false" in out
+    assert capsys.readouterr().out == (
+        "complete=false inverse-deterministic=false inverse-complete=false "
+        "reversible=true bireversible=true is-g-automaton=false\n"
+    )
 
 
 def test_check_many_automata_prefixes_names(tmp_path, capsys):
@@ -122,6 +121,15 @@ def test_decide_budget_exceeded(tmp_path, capsys):
     assert "error:" in err
     # an explicit flag overrides the file budget
     assert run(["decide", f, "--max-configs", "100000"]) == 10
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_decide_rejects_a_budget_below_one(tmp_path, capsys, budget):
+    f = _write(tmp_path, "d3.inst", serialize_instance(separation_instance("dual-adding", 3)))
+    assert run(["decide", f, "--max-configs", budget]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: max_configs must be >= 1\n"
 
 
 def test_oracle(tmp_path, capsys):
@@ -250,17 +258,6 @@ def test_reduce_tm_emits_the_quotient(tmp_path, capsys):
     assert check_properties(automaton).is_g_automaton
     argv = ["-m", "autsg", "reduce", "tm", f, "--space", "2", "--group"]
     assert stdout_under_hash_seeds(argv) == [text] * 2
-
-
-# --- bench -------------------------------------------------------------------
-
-
-def test_bench_separation(capsys):
-    assert run(["bench", "separation", "--max-n", "3"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 3
-    assert re.match(r"n=1 witness-length=1 time=\d+\.\d+ms", lines[0])
-    assert re.match(r"n=3 witness-length=4 time=\d+\.\d+ms", lines[2])
 
 
 # --- exit statuses -----------------------------------------------------------

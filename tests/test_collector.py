@@ -18,13 +18,15 @@ from autsg.turing import TmReductionParams, TuringMachineSpec, build_tm_automato
 from autsg.wordproblem import WordProblemInstance, _search, decide, oracle_decide
 
 ADDING = build_gadget("adding")
-# 1,000 states in a ring over two letters: enough objects that building them
-# with the collector on starts several collections
+# 2,000 states in a ring over two letters: enough objects that building them
+# with the collector on starts several collections, even in check_properties,
+# whose pair sets CPython can fill with up to 2,000 recycled 2-tuples that
+# the collector does not count
 RING = MealyAutomaton(
     "ring",
     ["a", "b"],
-    [f"q{i}" for i in range(1000)],
-    {(f"q{i}", a): (a, f"q{(i + 1) % 1000}") for i in range(1000) for a in "ab"},
+    [f"q{i}" for i in range(2000)],
+    {(f"q{i}", a): (a, f"q{(i + 1) % 2000}") for i in range(2000) for a in "ab"},
 )
 RING_TEXT = serialize_automaton(RING)
 TINY = TuringMachineSpec("tiny", ["_"], "_", ["z"], "z", ["z"], {})

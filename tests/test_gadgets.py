@@ -7,15 +7,15 @@ import pytest
 from autsg import (
     Defined,
     EQUAL,
+    NOT_EQUAL,
     WordProblemInstance,
     act_word,
     build_gadget,
     check_properties,
     counter_sequence,
+    decide,
     oracle_decide,
     separation_instance,
-    separation_witness,
-    separation_witness_dprime,
 )
 from helpers import S
 
@@ -119,23 +119,23 @@ def test_counter_law():
 
 @pytest.mark.parametrize("n,length", [(1, 1), (2, 2), (3, 4), (5, 16)])
 def test_separation_witness(n, length):
-    got_length, witness = separation_witness(n)
-    assert got_length == length
-    assert witness == ("a",) * length
+    verdict = decide(separation_instance("dual-adding", n))
+    assert verdict.kind == NOT_EQUAL
+    assert verdict.witness == ("a",) * length
 
 
 @pytest.mark.parametrize("n,length", [(1, 1), (2, 2), (6, 32)])
 def test_separation_witness_dprime(n, length):
-    got_length, witness = separation_witness_dprime(n)
-    assert got_length == length
-    assert witness == ("a",) * length
+    verdict = decide(separation_instance("dual-adding-prime", n))
+    assert verdict.kind == NOT_EQUAL
+    assert verdict.witness == ("a",) * length
 
 
 def test_separation_rejects_bad_n():
     with pytest.raises(ValueError):
-        separation_witness(0)
+        separation_instance("dual-adding", 0)
     with pytest.raises(ValueError):
-        separation_witness_dprime(0)
+        separation_instance("dual-adding-prime", 0)
     with pytest.raises(ValueError):
         separation_instance("adding", 2)
 

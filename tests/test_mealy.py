@@ -8,6 +8,7 @@ by the binary-increment reading) and frozen here.
 from __future__ import annotations
 
 import random
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -35,7 +36,16 @@ from autsg import (
     minimize,
     union,
 )
-from helpers import S, W, act, rename_letters, rename_states, renamed, stdout_under_hash_seeds
+from helpers import (
+    S,
+    W,
+    act,
+    class_flags,
+    rename_letters,
+    rename_states,
+    renamed,
+    stdout_under_hash_seeds,
+)
 
 ADDING = build_gadget("adding")
 FREE = build_gadget("free")
@@ -195,7 +205,7 @@ def test_actions_match_literal_reference():
 
 def test_properties_adding():
     p = check_properties(ADDING)
-    assert p.deterministic and p.complete
+    assert p.complete
     assert p.inverse_deterministic and p.inverse_complete
     # +0 receives letter 0 from both states, so not reversible
     assert not p.reversible and not p.bireversible
@@ -216,7 +226,6 @@ def test_properties_free():
 
 def test_properties_bireversible_example():
     p = check_properties(BIREV)
-    assert p.deterministic
     assert not p.complete
     assert not p.inverse_deterministic
     assert not p.inverse_complete
@@ -513,6 +522,15 @@ def test_classification_implications(aut):
         assert p.is_s_bar_automaton and p.complete
     if p.inverse_complete:
         assert p.complete and p.inverse_deterministic
+
+
+@given(automata(), automata(group=True))
+def test_class_flags_match_their_definitions(aut, group):
+    for automaton in (aut, group):
+        report = check_properties(automaton)
+        want = class_flags(automaton)
+        assert {f.name for f in fields(report)} | {"is_s_bar_automaton"} == set(want)
+        assert {flag: getattr(report, flag) for flag in want} == want
 
 
 @given(automata())

@@ -147,7 +147,6 @@ def test_dfalist_validation():
 def test_dfalist_metrics():
     d = DfaList([ZEROS_STAR, EVEN_ZEROS_ONLY])
     assert d.r == 2
-    assert d.max_size == 3
 
 
 # ---------------------------------------------------------- product oracle

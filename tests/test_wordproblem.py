@@ -8,6 +8,8 @@ independent directions.
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -121,6 +123,22 @@ def test_decide_budget():
     # within it is unaffected even at the exact boundary
     tight = WordProblemInstance(FREE_PARTIAL, S("b", "b"), S("b"))
     assert decide(tight, max_configs=1).kind == EQUAL
+
+
+@pytest.mark.parametrize("budget", [0, -5])
+def test_decide_rejects_a_budget_below_one(budget):
+    inst = WordProblemInstance(D, S("0", "0", "0"), S("0", "0"))
+    with pytest.raises(ValueError, match="max_configs must be >= 1"):
+        decide(inst, max_configs=budget)
+
+
+def test_undefined_survives_copy_and_pickle():
+    v = decide(WordProblemInstance(FREE_PARTIAL, S("b"), S("a")))
+    assert v.lhs_value is UNDEFINED
+    for again in (copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
+        assert again == v
+        assert again.lhs_value is UNDEFINED
+    assert repr(UNDEFINED) == str(UNDEFINED) == "Undefined"
 
 
 def test_instance_validation():
