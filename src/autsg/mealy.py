@@ -361,19 +361,6 @@ class _Table:
         self.rows[s] = row
         return row
 
-    def forward_rows(self) -> list[list]:
-        """The rows of the forward states in state order. Where any is
-        missing they are all built in one pass over the transitions, which
-        is cheaper than a row() call per state."""
-        rows = self.rows[0::2]
-        if None in rows:
-            li, si = self.letter_index, self.state_index
-            rows = [[None] * len(self.letters) for _ in self.states]
-            for (q, a), (b, p) in self.transitions.items():
-                rows[si[q]][li[a]] = (li[b], 2 * si[p])
-            self.rows[0::2] = rows
-        return rows
-
     def check_inverse(self, item: SignedState) -> None:
         """Raise NotInverseDeterministic if the inverted item reaches an
         ambiguous row: when q reaches p by u and p emits one letter on both
@@ -515,14 +502,15 @@ def union(a1: MealyAutomaton, a2: MealyAutomaton) -> MealyAutomaton:
     """Disjoint union over the merged alphabet.
 
     State names are kept when the two state sets are disjoint; on collision
-    each side is prefixed with its automaton name (or l_/r_ when even the
-    names coincide, as in union(A, A)).
+    each side is prefixed with its automaton name, or with l_ and r_ when
+    even the prefixed names collide (as in union(A, A), or for A named a
+    with a state b_x and B named a_b with a state x).
     """
+    p1 = p2 = ""
     if a1.states & a2.states:
-        p1 = f"{a1.name}_" if a1.name != a2.name else "l_"
-        p2 = f"{a2.name}_" if a1.name != a2.name else "r_"
-    else:
-        p1 = p2 = ""
+        p1, p2 = f"{a1.name}_", f"{a2.name}_"
+        if {p1 + q for q in a1.states} & {p2 + q for q in a2.states}:
+            p1, p2 = "l_", "r_"
     states = {p1 + q for q in a1.states} | {p2 + q for q in a2.states}
     trans: dict[tuple[State, Letter], tuple[Letter, State]] = {}
     for (q, a), (b, p) in a1.transitions.items():
@@ -581,26 +569,30 @@ def complete_with_zero(automaton: MealyAutomaton) -> MealyAutomaton:
 def minimize(automaton: MealyAutomaton) -> tuple[MealyAutomaton, dict[State, State]]:
     """The Moore quotient and the class of every state.
 
-    Partition refinement (Moore's algorithm) on the forward rows of the
-    integer table: states start in one class when they emit the same letter
-    on every input, an undefined transition counting as an output of its
-    own, and a class splits while two of its states move on some letter
-    into different classes. Each class is named by its least state name,
-    and class_of maps every state to that name. The quotient keeps the name
-    and the whole alphabet, so constraint acceptors still match it. A state
-    and its class act alike on every word, inverted too: their rows have
-    the same outputs, so ~q steps ambiguously exactly where ~class_of[q]
-    does. Names and orders do not depend on string hashing."""
-    table = automaton._table
-    outs, targets = [], []
-    for row in table.forward_rows():
-        # where undefined, the output -1 tells the states apart and the
-        # target, state 0, is never the only difference
-        outs.append(tuple([-1 if step is None else step[0] for step in row]))
-        targets.append([0 if step is None else step[1] >> 1 for step in row])
-    columns = list(zip(*targets))  # per letter, every state's target
+    Partition refinement (Moore's algorithm) over the transitions: states
+    start in one class when they emit the same letter on every input, an
+    undefined transition counting as an output of its own, and a class
+    splits while two of its states move on some letter into different
+    classes. Each class is named by its least state name, and class_of maps
+    every state to that name. The quotient keeps the name and the whole
+    alphabet, so constraint acceptors still match it. A state and its class
+    act alike on every word, inverted too: they have the same outputs, so
+    ~q steps ambiguously exactly where ~class_of[q] does. Names and orders
+    do not depend on string hashing."""
+    states, letters = sorted(automaton.states), sorted(automaton.alphabet)
+    state_index = {q: i for i, q in enumerate(states)}
+    letter_index = {a: i for i, a in enumerate(letters)}
+    # where undefined, the output -1 tells the states apart and the target,
+    # state 0, is never the only difference
+    outs = [[-1] * len(letters) for _ in states]
+    columns = [[0] * len(states) for _ in letters]  # per letter, every state's target
+    trans = automaton.transitions
+    for (q, a), (b, p) in trans.items():
+        i, j = state_index[q], letter_index[a]
+        outs[i][j] = letter_index[b]
+        columns[j][i] = state_index[p]
     ids: dict = {}
-    cls = [ids.setdefault(out, len(ids)) for out in outs]
+    cls = [ids.setdefault(tuple(out), len(ids)) for out in outs]
     count = 0
     while len(ids) != count:  # a round that splits no class is stable
         count = len(ids)
@@ -608,12 +600,11 @@ def minimize(automaton: MealyAutomaton) -> tuple[MealyAutomaton, dict[State, Sta
         ids = {}
         cls = [ids.setdefault(key, len(ids)) for key in keys]
     least: dict[int, State] = {}
-    class_of = {q: least.setdefault(c, q) for q, c in sorted(zip(table.states, cls))}
-    trans = automaton.transitions
+    class_of = {q: least.setdefault(c, q) for q, c in zip(states, cls)}
     quotient = {
         (q, a): (trans[q, a][0], class_of[trans[q, a][1]])
         for q in least.values()
-        for a in table.letters
+        for a in letters
         if (q, a) in trans
     }
     return MealyAutomaton(automaton.name, automaton.alphabet, least.values(), quotient), class_of

@@ -99,11 +99,8 @@ def reduce_dfa_intersection(d: DfaList, group_variant: bool = False) -> WordProb
     """
     r = d.r
     trans: dict[tuple[str, str], tuple[str, str]] = {}
-    states: set[str] = set()
 
     def add(q: str, a: str, b: str, p: str) -> None:
-        states.add(q)
-        states.add(p)
         trans[(q, a)] = (b, p)
 
     # Conditional flipper: tracks whether the y-block is all ones, then
@@ -190,6 +187,8 @@ def reduce_dfa_intersection(d: DfaList, group_variant: bool = False) -> WordProb
                     add(term, a, a, term)
 
     name = "dfa-isect-group" if group_variant else "dfa-isect"
+    # every state is the source or the target of a transition
+    states = {q for q, _a in trans} | {p for _b, p in trans.values()}
     aut = MealyAutomaton(name, ("0", "1", "#"), states, trans)
 
     copies = [

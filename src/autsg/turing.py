@@ -349,11 +349,8 @@ def build_tm_automaton(tm: TuringMachineSpec, params: TmReductionParams) -> Meal
     group = params.group_variant
     tau = derive_tau(tm)
     trans: dict[tuple[str, str], tuple[str, str]] = {}
-    states: set[str] = set()
 
     def add(q: str, a: str, b: str, p: str) -> None:
-        states.add(q)
-        states.add(p)
         trans[(q, a)] = (b, p)
 
     # --- check-marking: increment blocks up to the first all-zero one
@@ -414,7 +411,6 @@ def build_tm_automaton(tm: TuringMachineSpec, params: TmReductionParams) -> Meal
     add("d1", "1", "1", "d1")
     add("d1", "$", "$", "d2")
     add("d2", "0", "0", "d3")
-    states.add("d3")
 
     # --- q_c: virgin shape, every digit a 0
     for g in delta:
@@ -426,7 +422,6 @@ def build_tm_automaton(tm: TuringMachineSpec, params: TmReductionParams) -> Meal
     add("form2", "0", "0", "form2")
     add("form2", "$", "$", "form3")
     add("form3", "0", "0", "form4")
-    states.add("form4")
 
     # --- q_l: every block marked
     for g in delta:
@@ -442,7 +437,6 @@ def build_tm_automaton(tm: TuringMachineSpec, params: TmReductionParams) -> Meal
     add("full3", "1", "1", "full3")
     add("full3", "$", "$", "full4")
     add("full4", "0", "0", "full5")
-    states.add("full5")
 
     # --- e: the toggle
     final_heads = {
@@ -458,7 +452,6 @@ def build_tm_automaton(tm: TuringMachineSpec, params: TmReductionParams) -> Meal
     add("probe1", "0", "0", "probe1")
     add("probe1", "$", "$", "probe2")
     add("probe2", "0", "0", "probe3")
-    states.add("probe3")
     for x in sigma:
         if x == "$":
             add("probe4", x, x, "probe5")
@@ -468,7 +461,6 @@ def build_tm_automaton(tm: TuringMachineSpec, params: TmReductionParams) -> Meal
     add("probe5", "1", "1", "probe_dead")
     add("probe5", "$", "$", "probe6")
     add("probe6", "0", "1", "probe7")
-    states.add("probe7")
     for x in sigma:
         add("probe_dead", x, x, "probe_dead")
 
@@ -485,21 +477,18 @@ def build_tm_automaton(tm: TuringMachineSpec, params: TmReductionParams) -> Meal
         add("bump2", "1", "1", "bump2")
         add("bump2", "$", "$", "bump3")
         add("bump3", "0", "0", "bump4")
-        states.add("bump4")
-        # --- identity-preferring sink completion
         for x in sigma:
             add(SINK_STATE, x, x, SINK_STATE)
-        have_input: dict[str, set[str]] = {q: set() for q in states}
-        used_output: dict[str, set[str]] = {q: set() for q in states}
-        for (q, a), (b, _p) in trans.items():
-            have_input[q].add(a)
-            used_output[q].add(b)
+    # every state is the source or the target of a transition
+    states = {q for q, _a in trans} | {p for _b, p in trans.values()}
+    if group:
+        # --- identity-preferring sink completion
         sigma_sorted = sorted(sigma)
         for q in sorted(states):
-            missing = [a for a in sigma_sorted if a not in have_input[q]]
+            missing = [a for a in sigma_sorted if (q, a) not in trans]
             if not missing:
                 continue
-            used = used_output[q]
+            used = {trans[q, a][0] for a in sigma_sorted if (q, a) in trans}
             for a in missing:
                 if a not in used:
                     out = a

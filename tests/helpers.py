@@ -14,7 +14,31 @@ from autsg import (
     NotInverseDeterministic,
     SignedState,
     StateSequence,
+    TuringMachineSpec,
     UndefinedAt,
+)
+
+# Stays put forever, no final states; z1 exists only to make the cell
+# alphabet six tokens wide.
+LOOPER = TuringMachineSpec(
+    "looper",
+    ["_", "a"],
+    "_",
+    ["z0", "z1"],
+    "z0",
+    [],
+    {("z0", "_"): ("_", "z0", "N"), ("z0", "a"): ("a", "z0", "N")},
+)
+
+# Walks right over the input and accepts on the first blank.
+SCANNER = TuringMachineSpec(
+    "scan",
+    ["_", "a"],
+    "_",
+    ["z0", "zf"],
+    "z0",
+    ["zf"],
+    {("z0", "a"): ("a", "z0", "R"), ("z0", "_"): ("_", "zf", "N")},
 )
 
 
@@ -127,17 +151,26 @@ def renamed(outcome, class_of: dict[str, str]):
     return Defined(outcome.output, StateSequence(final))
 
 
+def autsg_env(**extra: str) -> dict[str, str]:
+    """The environment with extra set and this checkout's src/ first on
+    PYTHONPATH, so that a subprocess imports the autsg under test."""
+    src = str(Path(autsg.__file__).resolve().parents[1])
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def stdout_under_hash_seeds(argv: list[str], seeds=("1", "4")) -> list[str]:
     """The stdout of `python argv...` once per PYTHONHASHSEED, with this
     checkout's autsg importable. Seeds 1 and 4 iterate small string sets in
     different orders."""
-    src = str(Path(autsg.__file__).resolve().parents[1])
     outputs = []
     for seed in seeds:
-        env = dict(os.environ, PYTHONHASHSEED=seed)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run(
-            [sys.executable, *argv], capture_output=True, text=True, env=env
+            [sys.executable, *argv],
+            capture_output=True,
+            text=True,
+            env=autsg_env(PYTHONHASHSEED=seed),
         )
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)

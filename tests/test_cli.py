@@ -7,7 +7,7 @@ import subprocess
 import sys
 
 import pytest
-from helpers import S, stdout_under_hash_seeds
+from helpers import S, autsg_env, stdout_under_hash_seeds
 
 from autsg.cli import run
 from autsg.gadgets import build_gadget, separation_instance
@@ -311,6 +311,7 @@ def test_subprocess_smoke(adding_file):
          "--seq", "+1", "--word", "0", "1", "0"],
         capture_output=True,
         text=True,
+        env=autsg_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout == "1 1 0\n"

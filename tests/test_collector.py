@@ -77,13 +77,16 @@ def test_collector_state_is_restored_on_raise(collector):
 
 
 def _collections_during(call) -> int:
-    """How many collections start before call() returns."""
+    """How many collections start before call() returns, counted from an
+    empty young generation, so that what earlier tests left behind does not
+    decide whether call() starts one."""
     starts = []
 
     def count(phase, _info):
         if phase == "start":
             starts.append(phase)
 
+    gc.collect()
     gc.callbacks.append(count)
     try:
         call()

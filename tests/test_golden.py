@@ -1,0 +1,95 @@
+"""Golden digests: the SHA-256 of the reductions' outputs, pinned.
+
+A change to a construction, to minimize or to the text format that alters a
+single output byte fails here. Run as a script, this file prints one line per
+digest; the test runs it in a fresh interpreter under two PYTHONHASHSEED
+values, so no output may depend on string hashing either.
+
+    python tests/test_golden.py   (with src/ on PYTHONPATH)
+"""
+
+import hashlib
+import io
+import random
+import tempfile
+from contextlib import redirect_stdout
+from pathlib import Path
+
+from helpers import LOOPER, SCANNER, stdout_under_hash_seeds
+
+from autsg.cli import run
+from autsg.mealy import Acceptor
+from autsg.reductions import DfaList, reduce_dfa_intersection
+from autsg.textio import serialize_automaton, serialize_instance, serialize_tm
+from autsg.turing import TmReductionParams, build_tm_automaton
+
+GOLDEN = {
+    "reduce tm scan inverse":
+        "a806a2ae1616b531111f1e4171408384b67ebe9d6bcf6e331546982f9d9820d1",
+    "reduce tm scan group":
+        "0ab7fa2dab7f489674cc65be528a543c7d9fccb91c57303c9bd92b2dcc00576e",
+    "reduce tm looper inverse":
+        "09292092763db56cf727780487d844e2471afbaaf7ea8c000f0a78fcbe053c16",
+    "reduce tm looper group":
+        "e60ee406173b134f3a0e37b5ec485fb68f309ec3da811798f3e461f81b2ee04e",
+    "build_tm_automaton scan inverse":
+        "aca9a7126e12fcd2c3640d040891637d219820f2097d528a3c9d8f7bb2fb4f39",
+    "build_tm_automaton scan group":
+        "41ab9c9a914efaf6739731eb6255cf6de886e3b30119ec3df2fcf37677eb8026",
+    "reduce_dfa_intersection corpus":
+        "224cfe97f460bffafd7423df011687339b85e9bb74d7a446157b766e0be8bf32",
+}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _reduce_tm(tm, argv: list[str]) -> str:
+    """The stdout of autsg reduce tm on tm at --space 3."""
+    with tempfile.TemporaryDirectory() as d:
+        f = Path(d) / f"{tm.name}.tm"
+        f.write_text(serialize_tm(tm), encoding="utf-8")
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert run(["reduce", "tm", str(f), "--space", "3", *argv]) == 0
+    return out.getvalue()
+
+
+def _random_dfas(rng: random.Random) -> DfaList:
+    """One to three complete DFAs of one to four states each."""
+    dfas = []
+    for k in range(rng.randint(1, 3)):
+        states = [f"s{i}" for i in range(rng.randint(1, 4))]
+        trans = [(q, a, rng.choice(states)) for q in states for a in "01"]
+        finals = [q for q in states if rng.random() < 0.5]
+        dfas.append(Acceptor(f"d{k}", "01", states, trans, states[:1], finals))
+    return DfaList(dfas)
+
+
+def digests() -> dict[str, str]:
+    out = {}
+    for tm, argv in ((SCANNER, ["--input", "a", "a"]), (LOOPER, [])):
+        out[f"reduce tm {tm.name} inverse"] = _sha256(_reduce_tm(tm, argv))
+        out[f"reduce tm {tm.name} group"] = _sha256(_reduce_tm(tm, argv + ["--group"]))
+    for variant, group in (("inverse", False), ("group", True)):
+        params = TmReductionParams(p_val=3, input_word=("a", "a"), group_variant=group)
+        text = serialize_automaton(build_tm_automaton(SCANNER, params))
+        out[f"build_tm_automaton scan {variant}"] = _sha256(text)
+    rng, corpus = random.Random(2016), hashlib.sha256()
+    for _ in range(300):
+        dfas = _random_dfas(rng)
+        for group in (False, True):
+            corpus.update(serialize_instance(reduce_dfa_intersection(dfas, group)).encode())
+    out["reduce_dfa_intersection corpus"] = corpus.hexdigest()
+    return out
+
+
+def test_outputs_match_their_golden_digests():
+    expected = "".join(f"{key} {digest}\n" for key, digest in GOLDEN.items())
+    assert stdout_under_hash_seeds([__file__], seeds=("1", "7")) == [expected] * 2
+
+
+if __name__ == "__main__":
+    for key, digest in digests().items():
+        print(key, digest)

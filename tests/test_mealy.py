@@ -293,6 +293,15 @@ def test_union_collision_prefixes():
     assert ("other_+1", "0") in u2.transitions
 
 
+def test_union_never_merges_states():
+    # prefixed with their names, A's b_x and B's x would both be a_b_x
+    a = MealyAutomaton("a", "01", ["x", "b_x"], {("x", "0"): ("0", "b_x")})
+    b = MealyAutomaton("a_b", "01", ["x"], {("x", "1"): ("1", "x")})
+    u = union(a, b)
+    assert u.states == frozenset({"l_x", "l_b_x", "r_x"})
+    assert u.transitions == {("l_x", "0"): ("0", "l_b_x"), ("r_x", "1"): ("1", "r_x")}
+
+
 # ------------------------------------------------------------------- dual
 
 

@@ -9,6 +9,7 @@ import itertools
 import random
 
 import pytest
+from helpers import LOOPER, SCANNER
 
 from autsg.errors import LeftEdgeViolated, SpaceBoundViolated
 from autsg.mealy import (
@@ -47,29 +48,6 @@ ACCEPT_NOW = TuringMachineSpec(
     "z0",
     ["zf"],
     {("z0", "_"): ("_", "zf", "N"), ("z0", "a"): ("a", "zf", "N")},
-)
-
-# Stays put forever, no final states; z1 exists only to make the cell
-# alphabet six tokens wide.
-LOOPER = TuringMachineSpec(
-    "looper",
-    ["_", "a"],
-    "_",
-    ["z0", "z1"],
-    "z0",
-    [],
-    {("z0", "_"): ("_", "z0", "N"), ("z0", "a"): ("a", "z0", "N")},
-)
-
-# Walks right over the input and accepts on the first blank.
-SCANNER = TuringMachineSpec(
-    "scan",
-    ["_", "a"],
-    "_",
-    ["z0", "zf"],
-    "z0",
-    ["zf"],
-    {("z0", "a"): ("a", "z0", "R"), ("z0", "_"): ("_", "zf", "N")},
 )
 
 LEFTY = TuringMachineSpec(
