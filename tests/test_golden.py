@@ -36,6 +36,10 @@ GOLDEN = {
         "aca9a7126e12fcd2c3640d040891637d219820f2097d528a3c9d8f7bb2fb4f39",
     "build_tm_automaton scan group":
         "41ab9c9a914efaf6739731eb6255cf6de886e3b30119ec3df2fcf37677eb8026",
+    "build_tm_automaton looper inverse":
+        "f08c260fcae8fa3c576fae23b775dddfc13ed9f6b48f3dbacd973a6accfeb703",
+    "build_tm_automaton looper group":
+        "c5b526e7bf86d5460944b62df7cef5d4441a93da5cf11495bff05af63fc69092",
     "reduce_dfa_intersection corpus":
         "224cfe97f460bffafd7423df011687339b85e9bb74d7a446157b766e0be8bf32",
 }
@@ -72,10 +76,11 @@ def digests() -> dict[str, str]:
     for tm, argv in ((SCANNER, ["--input", "a", "a"]), (LOOPER, [])):
         out[f"reduce tm {tm.name} inverse"] = _sha256(_reduce_tm(tm, argv))
         out[f"reduce tm {tm.name} group"] = _sha256(_reduce_tm(tm, argv + ["--group"]))
-    for variant, group in (("inverse", False), ("group", True)):
-        params = TmReductionParams(p_val=3, input_word=("a", "a"), group_variant=group)
-        text = serialize_automaton(build_tm_automaton(SCANNER, params))
-        out[f"build_tm_automaton scan {variant}"] = _sha256(text)
+    for tm, word in ((SCANNER, ("a", "a")), (LOOPER, ())):
+        for variant, group in (("inverse", False), ("group", True)):
+            params = TmReductionParams(p_val=3, input_word=word, group_variant=group)
+            text = serialize_automaton(build_tm_automaton(tm, params))
+            out[f"build_tm_automaton {tm.name} {variant}"] = _sha256(text)
     rng, corpus = random.Random(2016), hashlib.sha256()
     for _ in range(300):
         dfas = _random_dfas(rng)
