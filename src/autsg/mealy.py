@@ -11,23 +11,32 @@ Partiality is first-class: transitions may be missing, and acting on a word
 either yields Defined(output, advanced sequence) or UndefinedAt(index of the
 offending input letter).
 
-This module owns the two stepping kernels the rest of the package uses:
-_thread, how a sequence of signed states consumes one letter, on the integer
-_Table each automaton caches and fills row by row as states are first
-stepped (behind act_step, act_word and the word-problem search), and
+Each automaton has one integer table, a _Table: per state a row holding,
+per letter, the index of the output letter and of the next state. An
+automaton is built either from a transitions dict, and indexes its table
+from it on first use, or from_rows, from a table, and then derives its
+read-only transitions on first read (its length is counted off the table).
+Large constructions build the table: build_tm_automaton fills its rows and
+minimize emits the quotient's rows, so neither ever builds the dict.
+check_properties and minimize read the table, and so do the two stepping
+kernels the rest of the package uses: _thread, how a sequence of signed
+states consumes one letter, on signed rows the table fills as states are
+first stepped (behind act_step, act_word and the word-problem search), and
 _subset_step, how a constraint acceptor's state subset reads one letter
 (behind acceptor_accepts and the search).
 
 _gc_paused runs a function with CPython's cyclic garbage collector switched
 off, and switches it back on when the function returns or raises. It wraps
 the entry points that build large tables of small objects: parse_file and
-parse_text in textio, build_tm_automaton in turing, check_properties and
-minimize here, and the word-problem search behind decide and oracle_decide.
+parse_text in textio, minimize and the derivation of transitions from a
+table here, and the word-problem search behind decide and oracle_decide.
 A collection that runs while they build would scan every object made so far
 and find nothing to free, because those tables hold strings, tuples, dicts
 and sets and no reference cycles (a _Table keeps no reference to its
 automaton). Reference counting still frees everything they discard, and a
-cycle made elsewhere is collected once the collector runs again. The
+cycle made elsewhere is collected once the collector runs again. Integer
+rows are lists of ints, which the collector does not track, so filling them
+(build_tm_automaton, indexing a table, check_properties) needs no pause. The
 collector is process-wide, so the pause is too: it covers other threads
 while it lasts, and one that was already off stays off. A generator function
 is refused, because the pause would last for as long as the generator is
@@ -172,13 +181,14 @@ class MealyAutomaton:
 
     transitions maps (state, input letter) to (output letter, next state),
     read-only. Determinism is inherent to the representation; completeness
-    is not required. Instances are immutable and safe to share.
+    is not required. Instances are immutable and safe to share. An automaton
+    built from a dict indexes its integer table on first use; one built
+    from_rows derives transitions on first read.
     """
 
     name: str
     alphabet: frozenset[Letter]
     states: frozenset[State]
-    transitions: Mapping[tuple[State, Letter], tuple[Letter, State]]
 
     def __init__(
         self,
@@ -204,6 +214,42 @@ class MealyAutomaton:
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "transitions", MappingProxyType(trans))
 
+    @classmethod
+    def from_rows(
+        cls,
+        name: str,
+        letters: Iterable[Letter],
+        states: Iterable[State],
+        outs: Iterable[int],
+        targets: Iterable[int],
+    ) -> "MealyAutomaton":
+        """The automaton whose integer table is given: letters in sorted
+        order, states in any order, and per state one row of len(letters)
+        cells in outs and in targets, laid end to end. Cell j of state i's
+        row holds the index of the letter it emits on letters[j] (-1 where
+        undefined) and the index of the state it moves to (0 where
+        undefined)."""
+        _check_state_token(name)
+        letters, states, outs, targets = tuple(letters), tuple(states), list(outs), list(targets)
+        alphabet, state_set = _checked_tokens(letters, states)
+        cells = len(states) * len(letters)
+        if list(letters) != sorted(alphabet) or len(state_set) != len(states):
+            raise ValueError("row letters must be sorted and distinct, and states distinct")
+        if len(outs) != cells or len(targets) != cells:
+            raise ValueError(f"rows need {cells} cells for outputs and for targets")
+        if cells and not (
+            -1 <= min(outs) and max(outs) < len(letters)
+            and 0 <= min(targets) and max(targets) < len(states)
+            and not any(t for t, b in zip(targets, outs) if b < 0)
+        ):
+            raise ValueError("a row cell is out of range, or undefined but not targeting state 0")
+        automaton = cls.__new__(cls)
+        object.__setattr__(automaton, "name", name)
+        object.__setattr__(automaton, "alphabet", alphabet)
+        object.__setattr__(automaton, "states", state_set)
+        object.__setattr__(automaton, "_table", _Table(name, letters, states, outs, targets))
+        return automaton
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, MealyAutomaton):
             return NotImplemented
@@ -220,9 +266,14 @@ class MealyAutomaton:
         )
 
     @cached_property
+    def transitions(self) -> Mapping[tuple[State, Letter], tuple[Letter, State]]:
+        """Derived from the integer table (from_rows only)."""
+        return _RowTransitions(self._table)
+
+    @cached_property
     def _table(self) -> "_Table":
-        """The integer table every action steps through, made on first use."""
-        return _Table(self)
+        """The integer table, indexed from transitions on first use."""
+        return _Table.indexed(self)
 
 
 @dataclass(frozen=True)
@@ -319,23 +370,81 @@ def acceptor_accepts(acc: Acceptor, word: Iterable[Letter] | str) -> bool:
     return bool(cur & acc.final)
 
 
+class _RowTransitions(Mapping):
+    """The read-only transitions of an automaton built from rows. Its length
+    is counted off the integer table; the first other read derives the dict
+    from the table, and every later read uses that dict."""
+
+    def __init__(self, table: "_Table"):
+        self._table = table
+
+    @cached_property
+    def _dict(self) -> dict[tuple[State, Letter], tuple[Letter, State]]:
+        return self._table.transitions()
+
+    def __len__(self) -> int:
+        return len(self._table.outs) - self._table.outs.count(-1)
+
+    def __getitem__(self, key):
+        return self._dict[key]
+
+    def __iter__(self):
+        return iter(self._dict)
+
+    def items(self):
+        return self._dict.items()
+
+    def copy(self) -> dict[tuple[State, Letter], tuple[Letter, State]]:
+        return self._dict.copy()
+
+
 _AMBIGUOUS = object()
 
 
 class _Table:
-    """The integer view of a MealyAutomaton that every action steps through.
-    Letters index the sorted alphabet; signed state 2*i is state i, 2*i + 1
-    its inverse. rows[s] is None until s is first stepped, then holds per
-    letter (output letter, next signed state), None where undefined, or
-    _AMBIGUOUS where an inverse has several candidate transitions."""
+    """The integer table of a MealyAutomaton, which actions, check_properties
+    and minimize read. letters is the sorted alphabet; state i's row is the
+    len(letters) cells from i * len(letters) on in outs and in targets,
+    holding per letter the index of the output letter (-1 where undefined)
+    and of the next state (0 where undefined).
 
-    def __init__(self, automaton: MealyAutomaton):
-        self.name, self.transitions = automaton.name, automaton.transitions
-        self.letters = sorted(automaton.alphabet)
-        self.letter_index = {a: i for i, a in enumerate(self.letters)}
-        self.states = list(automaton.states)
-        self.state_index = {q: i for i, q in enumerate(self.states)}
-        self.rows: list[list | None] = [None] * (2 * len(self.states))
+    Actions step signed states: 2*i is state i, 2*i + 1 its inverse.
+    rows[s] is None until s is first stepped, then holds per letter (output
+    letter, next signed state), None where undefined, or _AMBIGUOUS where an
+    inverse has several candidate transitions."""
+
+    def __init__(self, name: str, letters, states, outs: list[int], targets: list[int]):
+        self.name, self.letters, self.states = name, letters, states
+        self.outs, self.targets = outs, targets
+        self.letter_index = {a: j for j, a in enumerate(letters)}
+        self.state_index = {q: i for i, q in enumerate(states)}
+        self.rows: list[list | None] = [None] * (2 * len(states))
+
+    @classmethod
+    def indexed(cls, automaton: MealyAutomaton) -> "_Table":
+        """The table of a dict-built automaton, its states in sorted order."""
+        letters, states = sorted(automaton.alphabet), sorted(automaton.states)
+        width = len(letters)
+        cells = len(states) * width
+        table = cls(automaton.name, letters, states, [-1] * cells, [0] * cells)
+        li, si, outs, targets = table.letter_index, table.state_index, table.outs, table.targets
+        for (q, a), (b, p) in automaton.transitions.items():
+            k = si[q] * width + li[a]
+            outs[k] = li[b]
+            targets[k] = si[p]
+        return table
+
+    @_gc_paused
+    def transitions(self) -> dict[tuple[State, Letter], tuple[Letter, State]]:
+        """The (state, letter) -> (output letter, next state) dict of the table."""
+        letters, states, outs, targets = self.letters, self.states, self.outs, self.targets
+        width = len(letters)
+        return {
+            (q, a): (letters[outs[k]], states[targets[k]])
+            for i, q in enumerate(states)
+            for k, a in enumerate(letters, i * width)
+            if outs[k] >= 0
+        }
 
     def signed(self, item: SignedState) -> int:
         i = self.state_index.get(item.base)
@@ -348,16 +457,14 @@ class _Table:
 
     def row(self, s: int) -> list:
         """Build, cache and return the row of signed state s."""
-        q, inverted = self.states[s >> 1], s & 1
-        get, li, si = self.transitions.get, self.letter_index, self.state_index
-        row: list = [None] * len(self.letters)
-        for a, i in li.items():
-            hit = get((q, a))
-            if hit is not None:
-                b, p = li[hit[0]], 2 * si[hit[1]] + inverted
+        inverted, width = s & 1, len(self.letters)
+        k = (s >> 1) * width
+        row: list = [None] * width
+        for a, (b, t) in enumerate(zip(self.outs[k:k + width], self.targets[k:k + width])):
+            if b >= 0:
                 if inverted:  # ~q reads what q emits and emits what q reads
-                    i, b = b, i
-                row[i] = (b, p) if row[i] is None else _AMBIGUOUS
+                    a, b = b, a
+                row[a] = (b, 2 * t + inverted) if row[a] is None else _AMBIGUOUS
         self.rows[s] = row
         return row
 
@@ -450,7 +557,6 @@ def act_word(
     return Defined(tuple(out), StateSequence(map(table.item, items)))
 
 
-@_gc_paused
 def check_properties(automaton: MealyAutomaton) -> PropertyReport:
     """Classify the automaton. Determinism is true by representation (the
     transition table is a map); the other flags are computed.
@@ -464,11 +570,15 @@ def check_properties(automaton: MealyAutomaton) -> PropertyReport:
 
     Each flag compares a count of distinct pairs with the number of
     transitions (no repeats) or with states * letters (every pair occurs)."""
-    trans = automaton.transitions
-    n, full = len(trans), len(automaton.states) * len(automaton.alphabet)
-    outputs = len({(q, b) for (q, _a), (b, _p) in trans.items()})
-    reversible = len({(p, a) for (_q, a), (_b, p) in trans.items()}) == n
-    bireversible = reversible and len({(p, b) for b, p in trans.values()}) == n
+    table = automaton._table
+    outs, targets, width = table.outs, table.targets, len(table.letters)
+    full = len(outs)
+    n = full - outs.count(-1)
+    rows = (set(outs[k:k + width]) for k in range(0, full, width or 1))
+    outputs = sum(len(row) - (-1 in row) for row in rows)
+    cells = [k for k, b in enumerate(outs) if b >= 0]
+    reversible = len({targets[k] * width + k % width for k in cells}) == n
+    bireversible = reversible and len({targets[k] * width + outs[k] for k in cells}) == n
     return PropertyReport(
         complete=n == full,
         inverse_deterministic=outputs == n,
@@ -569,42 +679,43 @@ def complete_with_zero(automaton: MealyAutomaton) -> MealyAutomaton:
 def minimize(automaton: MealyAutomaton) -> tuple[MealyAutomaton, dict[State, State]]:
     """The Moore quotient and the class of every state.
 
-    Partition refinement (Moore's algorithm) over the transitions: states
+    Partition refinement (Moore's algorithm) over the table: states
     start in one class when they emit the same letter on every input, an
     undefined transition counting as an output of its own, and a class
     splits while two of its states move on some letter into different
     classes. Each class is named by its least state name, and class_of maps
-    every state to that name. The quotient keeps the name and the whole
-    alphabet, so constraint acceptors still match it. A state and its class
-    act alike on every word, inverted too: they have the same outputs, so
-    ~q steps ambiguously exactly where ~class_of[q] does. Names and orders
-    do not depend on string hashing."""
-    states, letters = sorted(automaton.states), sorted(automaton.alphabet)
-    state_index = {q: i for i, q in enumerate(states)}
-    letter_index = {a: i for i, a in enumerate(letters)}
+    every state to that name. The quotient is built from rows and keeps the
+    name and the whole alphabet, so constraint acceptors still match it. A
+    state and its class act alike on every word, inverted too: they have the
+    same outputs, so ~q steps ambiguously exactly where ~class_of[q] does.
+    Names and orders do not depend on string hashing."""
+    table = automaton._table
+    letters, states, outs, targets = table.letters, table.states, table.outs, table.targets
+    width = len(letters)
+    ids: dict = {}
+    rows = (tuple(outs[i * width:(i + 1) * width]) for i in range(len(states)))
+    cls = [ids.setdefault(row, len(ids)) for row in rows]
     # where undefined, the output -1 tells the states apart and the target,
     # state 0, is never the only difference
-    outs = [[-1] * len(letters) for _ in states]
-    columns = [[0] * len(states) for _ in letters]  # per letter, every state's target
-    trans = automaton.transitions
-    for (q, a), (b, p) in trans.items():
-        i, j = state_index[q], letter_index[a]
-        outs[i][j] = letter_index[b]
-        columns[j][i] = state_index[p]
-    ids: dict = {}
-    cls = [ids.setdefault(tuple(out), len(ids)) for out in outs]
+    columns = [targets[j::width] for j in range(width)]  # per letter, every state's target
     count = 0
     while len(ids) != count:  # a round that splits no class is stable
         count = len(ids)
         keys = zip(cls, *[map(cls.__getitem__, col) for col in columns])
         ids = {}
         cls = [ids.setdefault(key, len(ids)) for key in keys]
-    least: dict[int, State] = {}
-    class_of = {q: least.setdefault(c, q) for q, c in zip(states, cls)}
-    quotient = {
-        (q, a): (trans[q, a][0], class_of[trans[q, a][1]])
-        for q in least.values()
-        for a in letters
-        if (q, a) in trans
-    }
-    return MealyAutomaton(automaton.name, automaton.alphabet, least.values(), quotient), class_of
+    order = sorted(range(len(states)), key=states.__getitem__)
+    least: dict[int, int] = {}  # class -> its least state, in the order of those
+    for i in order:
+        least.setdefault(cls[i], i)
+    position = {c: r for r, c in enumerate(least)}  # class -> its state in the quotient
+    names = [states[i] for i in least.values()]
+    class_of = {states[i]: names[position[cls[i]]] for i in order}
+    q_outs: list[int] = []
+    q_targets: list[int] = []
+    for i in least.values():
+        row = slice(i * width, (i + 1) * width)
+        q_outs += outs[row]
+        q_targets += [position[cls[t]] if b >= 0 else 0 for b, t in zip(outs[row], targets[row])]
+    quotient = MealyAutomaton.from_rows(automaton.name, letters, names, q_outs, q_targets)
+    return quotient, class_of

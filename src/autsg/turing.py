@@ -48,8 +48,7 @@ from .mealy import (
     StateSequence,
     Word,
     _check_state_token,
-    _gc_paused,
-    check_properties,
+    _Table,
 )
 from .wordproblem import WordProblemInstance
 
@@ -338,20 +337,44 @@ def checker_family_size(n_delta: int) -> int:
     return 2 * n_delta**3 * (n_delta + 1) ** 2 + n_delta**3 + 3
 
 
-@_gc_paused
+class _Rows(dict):
+    """State name -> row index, in the order states are first named. A new
+    name gets the next index and an undefined row of width cells in outs
+    and targets."""
+
+    def __init__(self, width: int):
+        super().__init__()
+        self.width, self.outs, self.targets = width, [], []
+
+    def __missing__(self, q: str) -> int:
+        i = self[q] = len(self)
+        self.outs += [-1] * self.width
+        self.targets += [0] * self.width
+        return i
+
+
 def build_tm_automaton(tm: TuringMachineSpec, params: TmReductionParams) -> MealyAutomaton:
     """The full reduction automaton over sigma = Delta + {0,1,#,$}, the
     whole checker family included, unreachable states too (minimize gives
-    its Moore quotient). The group variant must pass the G-automaton check;
+    its Moore quotient). add fills integer rows, one per state in the order
+    states are first named, and the automaton is built from_rows, so its
+    transitions dict is derived only if it is read. The group variant is
+    completed on the rows and must pass the G-automaton check on them;
     failure raises NotGAutomaton."""
     delta = delta_alphabet(tm)
     sigma = sigma_alphabet(tm)
     group = params.group_variant
     tau = derive_tau(tm)
-    trans: dict[tuple[str, str], tuple[str, str]] = {}
+    letters = sorted(sigma)
+    width = len(letters)
+    letter_index = {a: j for j, a in enumerate(letters)}
+    rows = _Rows(width)
+    outs, targets = rows.outs, rows.targets
 
     def add(q: str, a: str, b: str, p: str) -> None:
-        trans[(q, a)] = (b, p)
+        k = rows[q] * width + letter_index[a]
+        outs[k] = letter_index[b]
+        targets[k] = rows[p]
 
     # --- check-marking: increment blocks up to the first all-zero one
     for g in delta:
@@ -384,16 +407,17 @@ def build_tm_automaton(tm: TuringMachineSpec, params: TmReductionParams) -> Meal
             add(sk, x, x, sk)
         add(sk, "#", "#", _chk(1, window, (None, None)))
         add(sk, "$", "$", "d1")
+        chk0 = {(l1, l2): _chk(0, window, (l1, l2)) for l1 in lowers for l2 in lowers}
         for l1 in lowers:
             for l2 in lowers:
-                c0 = _chk(0, window, (l1, l2))
+                c0 = chk0[l1, l2]
                 c1 = _chk(1, window, (l1, l2))
                 add(c0, "0", "0", c0)
                 add(c0, "1", "1", c1)
                 add(c1, "0", "0", c1)
                 add(c1, "1", "1", c1)
                 for g in delta:
-                    add(c1, g, g, _chk(0, window, (l2, g)))
+                    add(c1, g, g, chk0[l2, g])
                 # the first unmarked cell has been located: its symbol is
                 # l2, which must match the stored window's evolution
                 if l2 is not None and tau.get(window) == l2:
@@ -479,31 +503,43 @@ def build_tm_automaton(tm: TuringMachineSpec, params: TmReductionParams) -> Meal
         add("bump3", "0", "0", "bump4")
         for x in sigma:
             add(SINK_STATE, x, x, SINK_STATE)
-    # every state is the source or the target of a transition
-    states = {q for q, _a in trans} | {p for _b, p in trans.values()}
     if group:
-        # --- identity-preferring sink completion
-        sigma_sorted = sorted(sigma)
-        for q in sorted(states):
-            missing = [a for a in sigma_sorted if (q, a) not in trans]
-            if not missing:
-                continue
-            used = {trans[q, a][0] for a in sigma_sorted if (q, a) in trans}
-            for a in missing:
-                if a not in used:
-                    out = a
-                else:
-                    out = next(x for x in sigma_sorted if x not in used)
-                used.add(out)
-                trans[(q, a)] = (out, SINK_STATE)
-
+        _complete_rows(outs, targets, width, rows[SINK_STATE])
     name = f"tm-{tm.name}-group" if group else f"tm-{tm.name}"
-    aut = MealyAutomaton(name, sigma, states, trans)
-    if group and not check_properties(aut).is_g_automaton:
-        raise NotGAutomaton(
-            f"group-variant automaton for {tm.name} failed the class check"
-        )
+    aut = MealyAutomaton.from_rows(name, letters, rows, outs, targets)
+    if group:
+        _check_group_rows(aut._table)
     return aut
+
+
+def _complete_rows(outs: list[int], targets: list[int], width: int, sink: int) -> None:
+    """The identity-preferring sink completion, in place: each undefined
+    cell of a row emits its own letter if the row does not emit it yet, else
+    the least letter the row does not emit, and moves to the sink."""
+    for k in range(0, len(outs), width):
+        row = outs[k:k + width]
+        if -1 not in row:
+            continue
+        used = set(row)
+        for j, b in enumerate(row):
+            if b < 0:
+                out = j if j not in used else next(x for x in range(width) if x not in used)
+                used.add(out)
+                outs[k + j], targets[k + j] = out, sink
+
+
+def _check_group_rows(table: _Table) -> None:
+    """Raise NotGAutomaton unless every row of the table emits every letter
+    exactly once: complete and inverse-deterministic, the class check of
+    the group variant."""
+    width, outs = len(table.letters), table.outs
+    letters = set(range(width))
+    for i, q in enumerate(table.states):
+        if set(outs[i * width:(i + 1) * width]) != letters:
+            raise NotGAutomaton(
+                f"{table.name} failed the class check: state {q!r} does not "
+                "emit every letter exactly once"
+            )
 
 
 def structured_words_acceptor(

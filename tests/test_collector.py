@@ -1,8 +1,10 @@
 """The cyclic garbage collector around the table-building entry points.
 
-parse_text, build_tm_automaton, check_properties, minimize and the search
-behind decide and oracle_decide run with the collector paused, and leave it as
-they found it, whether they return or raise.
+parse_text, minimize, the transitions derived from an automaton's integer
+table and the search behind decide and oracle_decide run with the collector
+paused, and leave it as they found it, whether they return or raise.
+build_tm_automaton and check_properties fill and read lists of ints, which
+the collector does not track, so they run unpaused and leave it alone.
 """
 
 import gc
@@ -12,7 +14,7 @@ import pytest
 
 from autsg.errors import ConfigBudgetExceeded, ParseError
 from autsg.gadgets import build_gadget, separation_instance
-from autsg.mealy import MealyAutomaton, _gc_paused, check_properties, minimize
+from autsg.mealy import MealyAutomaton, _gc_paused, _Table, check_properties, minimize
 from autsg.textio import parse_text, serialize_automaton
 from autsg.turing import TmReductionParams, TuringMachineSpec, build_tm_automaton
 from autsg.wordproblem import WordProblemInstance, _search, decide, oracle_decide
@@ -29,6 +31,23 @@ RING = MealyAutomaton(
     {(f"q{i}", a): (a, f"q{(i + 1) % 2000}") for i in range(2000) for a in "ab"},
 )
 RING_TEXT = serialize_automaton(RING)
+# the same ring on a, but only q0 emits b: no two states act alike, so each
+# round of minimize keeps a key per state
+SPIRAL = MealyAutomaton(
+    "spiral",
+    ["a", "b"],
+    [f"q{i}" for i in range(2000)],
+    {(f"q{i}", "a"): ("b" if i == 0 else "a", f"q{(i + 1) % 2000}") for i in range(2000)},
+)
+
+
+def _from_rows(automaton: MealyAutomaton) -> MealyAutomaton:
+    """The automaton rebuilt from its integer table."""
+    t = automaton._table
+    return MealyAutomaton.from_rows(automaton.name, t.letters, t.states, t.outs, t.targets)
+
+
+SPIRAL_ROWS = _from_rows(SPIRAL)
 TINY = TuringMachineSpec("tiny", ["_"], "_", ["z"], "z", ["z"], {})
 TINY_GROUP = TmReductionParams(p_val=1, group_variant=True)
 SEPARATION = separation_instance("dual-adding", 9)
@@ -56,6 +75,8 @@ CALLS = {
     "build_tm_automaton": lambda: build_tm_automaton(TINY, TINY_GROUP),
     "check_properties": lambda: check_properties(RING),
     "minimize": lambda: minimize(RING),
+    "minimize (rows)": lambda: minimize(SPIRAL_ROWS),
+    "transitions (rows)": lambda: _from_rows(RING).transitions.copy(),
     "decide": lambda: decide(WordProblemInstance(ADDING, ["+1"], ["+0"])),
     "oracle_decide": lambda: oracle_decide(WordProblemInstance(ADDING, ["+1"], ["+1"]), 4),
 }
@@ -97,9 +118,9 @@ def _collections_during(call) -> int:
 
 PAUSED = {
     "parse_text": (parse_text, (RING_TEXT,)),
-    "build_tm_automaton": (build_tm_automaton, (TINY, TINY_GROUP)),
-    "check_properties": (check_properties, (RING,)),
-    "minimize": (minimize, (RING,)),
+    "minimize": (minimize, (SPIRAL,)),
+    "minimize (rows)": (minimize, (SPIRAL_ROWS,)),
+    "transitions (rows)": (_Table.transitions, (SPIRAL_ROWS._table,)),
     "search": (_search, (SEPARATION, None, None)),
 }
 

@@ -36,6 +36,7 @@ from autsg import (
     minimize,
     union,
 )
+from autsg.textio import serialize_automaton
 from helpers import (
     S,
     W,
@@ -462,6 +463,40 @@ def test_minimize_without_letters_or_states():
     assert class_of == {} and quotient.states == frozenset()
 
 
+def _from_rows(automaton: MealyAutomaton) -> MealyAutomaton:
+    """The automaton rebuilt from its integer table."""
+    t = automaton._table
+    return MealyAutomaton.from_rows(automaton.name, t.letters, t.states, t.outs, t.targets)
+
+
+def test_rows_count_their_transitions_without_deriving_them():
+    rows = _from_rows(ADDING)
+    assert len(rows.transitions) == 4 and "_dict" not in vars(rows.transitions)
+    assert dict(rows.transitions) == dict(ADDING.transitions)
+    assert rows.transitions.copy() == dict(ADDING.transitions)
+
+
+def test_row_validation():
+    ok = dict(letters="ab", states=["q", "p"], outs=[1, -1, 0, 0], targets=[1, 0, 0, 1])
+    MealyAutomaton.from_rows("x", **ok)
+    bad = [
+        dict(letters="ba"),  # letters must be sorted
+        dict(letters="aab", outs=[1, -1, 0] * 2, targets=[0] * 6),
+        dict(states=["q", "q"]),
+        dict(states=["q r", "p"]),
+        dict(outs=[1, -1, 0]),  # one cell short
+        dict(outs=[1, -1, 0, 2]),  # no letter 2
+        dict(outs=[1, -2, 0, 0]),
+        dict(targets=[1, 0, 0, 2]),  # no state 2
+        dict(targets=[1, 1, 0, 1]),  # an undefined cell targets state 1
+    ]
+    for change in bad:
+        with pytest.raises(ValueError):
+            MealyAutomaton.from_rows("x", **{**ok, **change})
+    with pytest.raises(ValueError):
+        MealyAutomaton.from_rows("x y", **ok)
+
+
 # ------------------------------------------------------------ property style
 
 
@@ -588,3 +623,17 @@ def test_minimize_keeps_the_class_flags(aut, group):
         after = check_properties(minimize(automaton)[0])
         for flag in ("complete", "inverse_deterministic", "inverse_complete", "is_g_automaton"):
             assert getattr(after, flag) == getattr(before, flag)
+
+
+@given(automata(), automata(group=True))
+def test_automata_rebuilt_from_their_rows_keep_the_contracts(aut, group):
+    for automaton in (aut, group):
+        rows = _from_rows(automaton)
+        assert rows == automaton and automaton == rows
+        assert rows.same_structure(automaton) and automaton.same_structure(rows)
+        assert serialize_automaton(rows) == serialize_automaton(automaton)
+        with pytest.raises(TypeError):
+            rows.transitions[min(rows.states), min(rows.alphabet)] = ("x0", "q0")
+        report, want = check_properties(_from_rows(automaton)), class_flags(automaton)
+        assert {flag: getattr(report, flag) for flag in want} == want
+        assert dual(dual(rows)).same_structure(rows)

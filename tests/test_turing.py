@@ -11,18 +11,24 @@ import random
 import pytest
 from helpers import LOOPER, SCANNER
 
-from autsg.errors import LeftEdgeViolated, SpaceBoundViolated
+from autsg.cli import run
+from autsg.errors import LeftEdgeViolated, NotGAutomaton, SpaceBoundViolated
 from autsg.mealy import (
     Defined,
+    MealyAutomaton,
     UndefinedAt,
+    _Table,
     acceptor_accepts,
     act_word,
     check_properties,
     minimize,
 )
+from autsg.textio import serialize_tm
 from autsg.turing import (
     TmReductionParams,
     TuringMachineSpec,
+    _check_group_rows,
+    _complete_rows,
     build_tm_automaton,
     checker_entry,
     checker_family_size,
@@ -266,6 +272,47 @@ def test_group_completion_prefers_identity():
     # identity 1/1 is taken by the toggle's output, so 1 falls back to the
     # smallest unused letter
     assert AUT_ACC_G.transitions[("probe6", "1")] == ("0", "sink")
+
+
+def _table(outs: list[int]) -> _Table:
+    """The integer table of two states q0 and q1 over the letters a, b, c."""
+    return MealyAutomaton.from_rows("t", "abc", ["q0", "q1"], outs, [0] * 6)._table
+
+
+def test_group_class_check_reads_every_row():
+    _check_group_rows(_table([0, 1, 2, 2, 0, 1]))
+    with pytest.raises(NotGAutomaton, match="'q1'"):  # q1 is undefined on c
+        _check_group_rows(_table([0, 1, 2, 2, 0, -1]))
+    with pytest.raises(NotGAutomaton, match="'q0'"):  # q0 emits a twice
+        _check_group_rows(_table([0, 0, 2, 2, 0, 1]))
+
+
+def test_group_completion_fails_the_check_on_a_repeated_output():
+    # q1 emits b on a and on c: the completion fills its b cell with the
+    # only letter left, a, and cannot undo the repeat
+    outs, targets = [0, -1, -1, 1, -1, 1], [0] * 6
+    _complete_rows(outs, targets, 3, sink=1)
+    assert outs == [0, 1, 2, 1, 0, 1] and targets == [0, 1, 1, 0, 1, 0]
+    with pytest.raises(NotGAutomaton, match="'q1'"):
+        _check_group_rows(MealyAutomaton.from_rows("t", "abc", ["q0", "q1"], outs, targets)._table)
+
+
+def test_reduce_tm_derives_no_literal_transitions(tmp_path, monkeypatch, capsys):
+    # the 21k-state automaton is built, checked and minimized on its rows:
+    # only the quotient's transitions are ever derived, to print it
+    derived = []
+    transitions = _Table.transitions
+
+    def spy(table):
+        derived.append(len(table.states))
+        return transitions(table)
+
+    monkeypatch.setattr(_Table, "transitions", spy)
+    f = tmp_path / "scan.tm"
+    f.write_text(serialize_tm(SCANNER), encoding="utf-8")
+    assert run(["reduce", "tm", str(f), "--space", "3", "--input", "a", "a", "--group"]) == 0
+    assert capsys.readouterr().out
+    assert len(derived) == 1 and derived[0] < 100
 
 
 def test_random_machines_stay_in_class():
