@@ -257,6 +257,12 @@ class MealyAutomaton:
 
     __hash__ = None  # equality compares transition tables, which do not hash
 
+    def __repr__(self) -> str:
+        return (
+            f"MealyAutomaton(name={self.name!r}, alphabet={self.alphabet!r}, "
+            f"states={self.states!r}, transitions={dict(self.transitions)!r})"
+        )
+
     def same_structure(self, other: "MealyAutomaton") -> bool:
         """Equality ignoring the name."""
         return (

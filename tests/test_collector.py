@@ -4,13 +4,14 @@ parse_text, minimize, the transitions derived from an automaton's integer
 table and the search behind decide and oracle_decide run with the collector
 paused, and leave it as they found it, whether they return or raise.
 build_tm_automaton and check_properties fill and read lists of ints, which
-the collector does not track, so they run unpaused and leave it alone.
+the collector does not track, so they run unpaused and start no collection.
 """
 
 import gc
 from contextlib import contextmanager
 
 import pytest
+from helpers import SCANNER
 
 from autsg.errors import ConfigBudgetExceeded, ParseError
 from autsg.gadgets import build_gadget, separation_instance
@@ -131,6 +132,24 @@ def test_no_collection_runs_inside_the_entry_points(fn, args):
         # the same work unpaused starts collections, so the input is big enough
         assert _collections_during(lambda: fn.__wrapped__(*args)) > 0
         assert _collections_during(lambda: fn(*args)) == 0
+
+
+UNPAUSED = {
+    # the 21k-state automaton, and the flags of an automaton whose table is
+    # indexed from its transitions on the first call
+    "build_tm_automaton": lambda: build_tm_automaton(
+        SCANNER, TmReductionParams(p_val=3, input_word=("a", "a"), group_variant=True)
+    ),
+    "check_properties": lambda: check_properties(
+        MealyAutomaton("ring", RING.alphabet, RING.states, RING.transitions)
+    ),
+}
+
+
+@pytest.mark.parametrize("call", UNPAUSED.values(), ids=UNPAUSED.keys())
+def test_no_collection_runs_inside_the_table_builders(call):
+    with _collector(True):
+        assert _collections_during(call) == 0
 
 
 def test_pause_nests_and_refuses_generators():
