@@ -13,17 +13,18 @@ offending input letter).
 
 Each automaton has one integer table, a _Table: per state a row holding,
 per letter, the index of the output letter and of the next state. An
-automaton is built either from a transitions dict, and indexes its table
-from it on first use, or from_rows, from a table, and then derives its
-read-only transitions on first read (its length is counted off the table).
-Large constructions build the table: build_tm_automaton fills its rows and
-minimize emits the quotient's rows, so neither ever builds the dict.
-check_properties and minimize read the table, and so do the two stepping
-kernels the rest of the package uses: _thread, how a sequence of signed
-states consumes one letter, on signed rows the table fills as states are
-first stepped (behind act_step, act_word and the word-problem search), and
-_subset_step, how a constraint acceptor's state subset reads one letter
-(behind acceptor_accepts and the search).
+automaton built from a transitions dict indexes its table from it on first
+use; one built from_rows, from a table, derives its read-only transitions
+on first read (their length is counted off the table). build_tm_automaton
+fills rows and minimize emits the quotient's rows, so neither builds the
+dict; check_properties and minimize read the table.
+
+This module owns the two stepping kernels the rest of the package uses:
+_thread, how a sequence of signed states consumes one letter, on signed
+rows the _Table fills as states are first stepped (behind act_step,
+act_word and the word-problem search), and _subset_step, how a constraint
+acceptor's state subset reads one letter (behind acceptor_accepts and the
+search).
 
 _gc_paused runs a function with CPython's cyclic garbage collector switched
 off, and switches it back on when the function returns or raises. It wraps
