@@ -379,6 +379,38 @@ def test_automaton_validation():
             MealyAutomaton("x", ("a",), (tok,), {})
         with pytest.raises(ValueError):
             MealyAutomaton("x", (tok,), ("q",), {})
+    # a bad transition: the first bad entry in insertion order is named, and
+    # within one entry its source, then its target, input and output
+    good = (("p", "b"), ("b", "q"))
+    bad = [
+        ((("z", "a"), ("a", "q")), "transition source 'z' is not a declared state"),
+        ((("q", "a"), ("a", "z")), "transition target 'z' is not a declared state"),
+        ((("q", "c"), ("a", "q")), "transition input 'c' is not in the alphabet"),
+        ((("p", "a"), ("c", "q")), "transition output 'c' is not in the alphabet"),
+        ((("y", "d"), ("d", "y")), "transition source 'y' is not a declared state"),
+        ((("q", "b"), ("d", "y")), "transition target 'y' is not a declared state"),
+        ((("p", "d"), ("d", "q")), "transition input 'd' is not in the alphabet"),
+    ]
+    for entry, message in bad:
+        with pytest.raises(ValueError) as exc:
+            MealyAutomaton("x", "ab", "qp", dict([good, entry]))
+        assert str(exc.value) == message
+    for start in range(len(bad)):
+        entries = [entry for entry, _ in bad[start:] + bad[:start]]
+        with pytest.raises(ValueError) as exc:
+            MealyAutomaton("x", "ab", "qp", dict([good, *entries]))
+        assert str(exc.value) == bad[start][1]
+
+
+def test_transitions_do_not_follow_the_dict_they_were_built_from():
+    trans = {("q", "a"): ("b", "q"), ("q", "b"): ("a", "p")}
+    aut = MealyAutomaton("x", "ab", "qp", trans)
+    trans[("q", "a")] = ("a", "p")
+    trans[("p", "a")] = ("a", "q")
+    del trans[("q", "b")]
+    assert dict(aut.transitions) == {("q", "a"): ("b", "q"), ("q", "b"): ("a", "p")}
+    assert act_word(aut, ["q"], "ab") == Defined(("b", "a"), S("p"))
+    assert act_word(aut, ["q"], "ba") == UndefinedAt(1)
 
 
 def test_transitions_are_read_only():
