@@ -11,13 +11,14 @@ Partiality is first-class: transitions may be missing, and acting on a word
 either yields Defined(output, advanced sequence) or UndefinedAt(index of the
 offending input letter).
 
-Each automaton has one integer table, a _Table: per state a row holding,
-per letter, the index of the output letter and of the next state. An
-automaton built from a transitions dict indexes its table from it on first
-use; one built from_rows, from a table, derives its read-only transitions
-on first read (their length is counted off the table). build_tm_automaton
-fills rows and minimize emits the quotient's rows, so neither builds the
-dict; check_properties and minimize read the table.
+Each automaton is one integer table, a _Table: per state a row holding,
+per letter, the index of the output letter and of the next state. The
+constructor writes the transitions dict it is given straight into the
+table and keeps no dict; from_rows takes a table as it is. Either way the
+read-only transitions are derived from the table on first read (their
+length is counted off the table). build_tm_automaton fills rows and
+minimize emits the quotient's rows, so neither builds the dict;
+check_properties and minimize read the table.
 
 This module owns the two stepping kernels the rest of the package uses:
 _thread, how a sequence of signed states consumes one letter, on signed
@@ -37,11 +38,11 @@ and sets and no reference cycles (a _Table keeps no reference to its
 automaton). Reference counting still frees everything they discard, and a
 cycle made elsewhere is collected once the collector runs again. Integer
 rows are lists of ints, which the collector does not track, so filling them
-(build_tm_automaton, indexing a table, check_properties) needs no pause. The
-collector is process-wide, so the pause is too: it covers other threads
-while it lasts, and one that was already off stays off. A generator function
-is refused, because the pause would last for as long as the generator is
-suspended.
+(build_tm_automaton, the MealyAutomaton constructor, check_properties) needs
+no pause. The collector is process-wide, so the pause is too: it covers
+other threads while it lasts, and one that was already off stays off. A
+generator function is refused, because the pause would last for as long as
+the generator is suspended.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ import gc
 import inspect
 from dataclasses import dataclass
 from functools import cached_property, wraps
-from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import (
@@ -182,9 +182,10 @@ class MealyAutomaton:
 
     transitions maps (state, input letter) to (output letter, next state),
     read-only. Determinism is inherent to the representation; completeness
-    is not required. Instances are immutable and safe to share. An automaton
-    built from a dict indexes its integer table on first use; one built
-    from_rows derives transitions on first read.
+    is not required. Instances are immutable and safe to share. Every
+    automaton keeps only its integer table, whether built from a dict or
+    from_rows, and derives transitions from it on first read; the dict it
+    was built from is not kept, so changing it later changes nothing here.
     """
 
     name: str
@@ -200,20 +201,24 @@ class MealyAutomaton:
     ):
         _check_state_token(name)
         alphabet, states = _checked_tokens(alphabet, states)
-        trans = dict(transitions)
-        for (q, a), (b, p) in trans.items():
-            if q not in states:
+        letters, width, cells = sorted(alphabet), len(alphabet), len(states) * len(alphabet)
+        table = _Table(name, letters, sorted(states), [-1] * cells, [0] * cells)
+        li, si, outs, targets = table.letter_index, table.state_index, table.outs, table.targets
+        for (q, a), (b, p) in transitions.items():
+            if (i := si.get(q)) is None:
                 raise ValueError(f"transition source {q!r} is not a declared state")
-            if p not in states:
+            if (t := si.get(p)) is None:
                 raise ValueError(f"transition target {p!r} is not a declared state")
-            if a not in alphabet:
+            if (j := li.get(a)) is None:
                 raise ValueError(f"transition input {a!r} is not in the alphabet")
-            if b not in alphabet:
+            if (o := li.get(b)) is None:
                 raise ValueError(f"transition output {b!r} is not in the alphabet")
+            outs[i * width + j] = o
+            targets[i * width + j] = t
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "states", states)
-        object.__setattr__(self, "transitions", MappingProxyType(trans))
+        object.__setattr__(self, "_table", table)
 
     @classmethod
     def from_rows(
@@ -274,13 +279,8 @@ class MealyAutomaton:
 
     @cached_property
     def transitions(self) -> Mapping[tuple[State, Letter], tuple[Letter, State]]:
-        """Derived from the integer table (from_rows only)."""
+        """Derived from the integer table on first read."""
         return _RowTransitions(self._table)
-
-    @cached_property
-    def _table(self) -> "_Table":
-        """The integer table, indexed from transitions on first use."""
-        return _Table.indexed(self)
 
 
 @dataclass(frozen=True)
@@ -378,9 +378,9 @@ def acceptor_accepts(acc: Acceptor, word: Iterable[Letter] | str) -> bool:
 
 
 class _RowTransitions(Mapping):
-    """The read-only transitions of an automaton built from rows. Its length
-    is counted off the integer table; the first other read derives the dict
-    from the table, and every later read uses that dict."""
+    """The read-only transitions of an automaton. Its length is counted off
+    the integer table; the first other read derives the dict from the table,
+    and every later read uses that dict."""
 
     def __init__(self, table: "_Table"):
         self._table = table
@@ -426,20 +426,6 @@ class _Table:
         self.letter_index = {a: j for j, a in enumerate(letters)}
         self.state_index = {q: i for i, q in enumerate(states)}
         self.rows: list[list | None] = [None] * (2 * len(states))
-
-    @classmethod
-    def indexed(cls, automaton: MealyAutomaton) -> "_Table":
-        """The table of a dict-built automaton, its states in sorted order."""
-        letters, states = sorted(automaton.alphabet), sorted(automaton.states)
-        width = len(letters)
-        cells = len(states) * width
-        table = cls(automaton.name, letters, states, [-1] * cells, [0] * cells)
-        li, si, outs, targets = table.letter_index, table.state_index, table.outs, table.targets
-        for (q, a), (b, p) in automaton.transitions.items():
-            k = si[q] * width + li[a]
-            outs[k] = li[b]
-            targets[k] = si[p]
-        return table
 
     @_gc_paused
     def transitions(self) -> dict[tuple[State, Letter], tuple[Letter, State]]:

@@ -3,8 +3,9 @@
 parse_text, minimize, the transitions derived from an automaton's integer
 table and the search behind decide and oracle_decide run with the collector
 paused, and leave it as they found it, whether they return or raise.
-build_tm_automaton and check_properties fill and read lists of ints, which
-the collector does not track, so they run unpaused and start no collection.
+build_tm_automaton, the MealyAutomaton constructor and check_properties
+fill and read lists of ints, which the collector does not track, so they
+run unpaused and start no collection.
 """
 
 import gc
@@ -25,12 +26,8 @@ ADDING = build_gadget("adding")
 # with the collector on starts several collections, even in check_properties,
 # whose pair sets CPython can fill with up to 2,000 recycled 2-tuples that
 # the collector does not count
-RING = MealyAutomaton(
-    "ring",
-    ["a", "b"],
-    [f"q{i}" for i in range(2000)],
-    {(f"q{i}", a): (a, f"q{(i + 1) % 2000}") for i in range(2000) for a in "ab"},
-)
+RING_DICT = {(f"q{i}", a): (a, f"q{(i + 1) % 2000}") for i in range(2000) for a in "ab"}
+RING = MealyAutomaton("ring", ["a", "b"], [f"q{i}" for i in range(2000)], RING_DICT)
 RING_TEXT = serialize_automaton(RING)
 # the same ring on a, but only q0 emits b: no two states act alike, so each
 # round of minimize keeps a key per state
@@ -135,11 +132,12 @@ def test_no_collection_runs_inside_the_entry_points(fn, args):
 
 
 UNPAUSED = {
-    # the 21k-state automaton, and the flags of an automaton whose table is
-    # indexed from its transitions on the first call
+    # the 21k-state automaton, the 2,000-state ring's table filled from a
+    # dict, and the flags of a ring built afresh
     "build_tm_automaton": lambda: build_tm_automaton(
         SCANNER, TmReductionParams(p_val=3, input_word=("a", "a"), group_variant=True)
     ),
+    "MealyAutomaton": lambda: MealyAutomaton("ring", RING.alphabet, RING.states, RING_DICT),
     "check_properties": lambda: check_properties(
         MealyAutomaton("ring", RING.alphabet, RING.states, RING.transitions)
     ),

@@ -36,7 +36,7 @@ from autsg import (
     minimize,
     union,
 )
-from autsg.textio import serialize_automaton
+from autsg.textio import parse_text, serialize_automaton
 from helpers import (
     S,
     W,
@@ -502,10 +502,19 @@ def _from_rows(automaton: MealyAutomaton) -> MealyAutomaton:
 
 
 def test_rows_count_their_transitions_without_deriving_them():
-    rows = _from_rows(ADDING)
-    assert len(rows.transitions) == 4 and "_dict" not in vars(rows.transitions)
-    assert dict(rows.transitions) == dict(ADDING.transitions)
-    assert rows.transitions.copy() == dict(ADDING.transitions)
+    # built from rows, from a dict or by the parser, an automaton keeps only
+    # its table until transitions are read
+    text = serialize_automaton(ADDING)
+    for make in (
+        lambda: _from_rows(ADDING),
+        lambda: build_gadget("adding"),
+        lambda: parse_text(text).automata[ADDING.name],
+    ):
+        aut = make()
+        assert "transitions" not in vars(aut)
+        assert len(aut.transitions) == 4 and "_dict" not in vars(aut.transitions)
+        assert dict(aut.transitions) == dict(ADDING.transitions)
+        assert aut.transitions.copy() == dict(ADDING.transitions)
 
 
 def test_row_validation():

@@ -13,6 +13,8 @@ import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from autsg import (
     Acceptor,
@@ -21,16 +23,21 @@ from autsg import (
     MealyAutomaton,
     NOT_EQUAL,
     NotInverseDeterministic,
+    SignedState,
     UNDEFINED,
     WordProblemInstance,
     act_word,
     build_gadget,
     check_properties,
+    complete_with_zero,
     config_bound,
     decide,
+    minimize,
     oracle_decide,
+    union,
 )
-from helpers import S, W
+from autsg.mealy import BOTTOM_LETTER
+from helpers import S, W, rename_states
 
 ADDING = build_gadget("adding")
 FREE_PARTIAL = build_gadget("free-partial")
@@ -201,16 +208,20 @@ def test_oracle_rejects_negative_bound():
         oracle_decide(WordProblemInstance(ADDING, S(), S()), -1)
 
 
-def _random_instance(rng: random.Random) -> WordProblemInstance:
-    n_states = rng.randint(1, 3)
-    states = [f"q{i}" for i in range(n_states)]
-    letters = ["x", "y"]
+def _random_automaton(rng: random.Random, states, letters) -> MealyAutomaton:
     trans = {}
     for q in states:
         for a in letters:
             if rng.random() < 0.8:
                 trans[(q, a)] = (rng.choice(letters), rng.choice(states))
-    aut = MealyAutomaton("rand", letters, states, trans)
+    return MealyAutomaton("rand", letters, states, trans)
+
+
+def _random_instance(rng: random.Random) -> WordProblemInstance:
+    n_states = rng.randint(1, 3)
+    states = [f"q{i}" for i in range(n_states)]
+    letters = ["x", "y"]
+    aut = _random_automaton(rng, states, letters)
     inv_ok = check_properties(aut).inverse_deterministic
 
     def item():
@@ -297,6 +308,50 @@ def test_decide_is_symmetric():
         assert a.witness == b.witness
         if a.kind == NOT_EQUAL:
             assert (a.lhs_value, a.rhs_value) == (b.rhs_value, b.lhs_value)
+
+
+def _answer(v) -> tuple:
+    return (v.kind, v.witness, v.lhs_value, v.rhs_value)
+
+
+def _mapped(inst: WordProblemInstance, automaton: MealyAutomaton, name_of) -> WordProblemInstance:
+    """inst on automaton, each item's state renamed through name_of."""
+    def side(seq):
+        return [SignedState(name_of[i.base], i.inverted) for i in seq]
+
+    return WordProblemInstance(automaton, side(inst.lhs), side(inst.rhs), inst.constraints)
+
+
+@given(st.integers(0, 2**32), st.data())
+@settings(max_examples=80, deadline=None)
+def test_decide_is_unchanged_by_transforms_that_keep_the_actions(seed, data):
+    inst = _random_instance(random.Random(seed))
+    aut, same = inst.automaton, {q: q for q in inst.automaton.states}
+    want = _answer(decide(inst))
+    # states renamed by a bijection, which also reorders them
+    names = data.draw(st.permutations([f"r{i}" for i in range(len(aut.states))]))
+    rename = dict(zip(sorted(aut.states), names))
+    assert _answer(decide(_mapped(inst, rename_states(aut, rename), rename))) == want
+    # a disjoint union with an automaton over some of the letters
+    letters = data.draw(st.lists(st.sampled_from(sorted(aut.alphabet)), unique=True))
+    other = _random_automaton(random.Random(seed + 1), ["o0", "o1"], sorted(letters))
+    assert _answer(decide(_mapped(inst, union(aut, other), same))) == want
+    # the Moore quotient, each item replaced by its class
+    quotient, class_of = minimize(aut)
+    assert _answer(decide(_mapped(inst, quotient, class_of))) == want
+    # the zero completion tells products of generators apart exactly where
+    # they differ: a side undefined on the witness emits the bottom letter
+    # on its last letter instead
+    items = [*inst.lhs, *inst.rhs]
+    if inst.constraints or not inst.lhs or not inst.rhs or any(i.inverted for i in items):
+        return
+    got = decide(_mapped(inst, complete_with_zero(aut), same))
+
+    def undefined(value):
+        return UNDEFINED if value and value[-1] == BOTTOM_LETTER else value
+
+    assert _answer(got)[:2] == want[:2]
+    assert (undefined(got.lhs_value), undefined(got.rhs_value)) == want[2:]
 
 
 # q's own outputs differ, but q reaches p, which emits a on both letters:
