@@ -13,12 +13,13 @@ offending input letter).
 
 Each automaton is one integer table, a _Table: per state a row holding,
 per letter, the index of the output letter and of the next state. The
-constructor writes the transitions dict it is given straight into the
-table and keeps no dict; from_rows takes a table as it is. Either way the
-read-only transitions are derived from the table on first read (their
-length is counted off the table). build_tm_automaton fills rows and
-minimize emits the quotient's rows, so neither builds the dict;
-check_properties and minimize read the table.
+table is also the one builder: the constructor writes the transitions dict
+it is given into a table and keeps no dict, while the reductions
+(build_tm_automaton, reduce_dfa_intersection, reduce_dfa_emptiness) and
+minimize fill a table directly, cell by cell with _Table.add or row by
+row, and wrap it with MealyAutomaton._of. Either way the read-only
+transitions are derived from the table on first read (their length is
+counted off the table), and check_properties and minimize read the table.
 
 This module owns the two stepping kernels the rest of the package uses:
 _thread, how a sequence of signed states consumes one letter, on signed
@@ -86,20 +87,11 @@ def _gc_paused(fn):
     return paused
 
 
-def _check_letter_token(tok: str) -> None:
+def _check_token(tok: str, what: str) -> None:
     if not isinstance(tok, str) or not tok:
-        raise ValueError(f"letter token must be a non-empty string, got {tok!r}")
+        raise ValueError(f"{what} must be a non-empty string, got {tok!r}")
     if tok.split() != [tok]:
-        raise ValueError(f"letter token may not contain whitespace: {tok!r}")
-    if tok.startswith("~"):
-        raise ValueError(f"letter token may not begin with '~': {tok!r}")
-
-
-def _check_state_token(tok: str) -> None:
-    if not isinstance(tok, str) or not tok:
-        raise ValueError(f"state name must be a non-empty string, got {tok!r}")
-    if tok.split() != [tok]:
-        raise ValueError(f"state name may not contain whitespace: {tok!r}")
+        raise ValueError(f"{what} may not contain whitespace: {tok!r}")
 
 
 def _checked_tokens(
@@ -109,9 +101,11 @@ def _checked_tokens(
     first, so that the token an error names does not depend on hashing."""
     letters, states = tuple(letters), tuple(states)
     for tok in letters:
-        _check_letter_token(tok)
+        _check_token(tok, "letter token")
+        if tok.startswith("~"):
+            raise ValueError(f"letter token may not begin with '~': {tok!r}")
     for tok in states:
-        _check_state_token(tok)
+        _check_token(tok, "state name")
     return frozenset(letters), frozenset(states)
 
 
@@ -184,8 +178,9 @@ class MealyAutomaton:
     read-only. Determinism is inherent to the representation; completeness
     is not required. Instances are immutable and safe to share. Every
     automaton keeps only its integer table, whether built from a dict or
-    from_rows, and derives transitions from it on first read; the dict it
-    was built from is not kept, so changing it later changes nothing here.
+    wrapped from a filled _Table by _of, and derives transitions from it on
+    first read; the dict it was built from is not kept, so changing it later
+    changes nothing here.
     """
 
     name: str
@@ -199,11 +194,11 @@ class MealyAutomaton:
         states: Iterable[State],
         transitions: Mapping[tuple[State, Letter], tuple[Letter, State]],
     ):
-        _check_state_token(name)
+        _check_token(name, "state name")
         alphabet, states = _checked_tokens(alphabet, states)
-        letters, width, cells = sorted(alphabet), len(alphabet), len(states) * len(alphabet)
-        table = _Table(name, letters, sorted(states), [-1] * cells, [0] * cells)
+        table = _Table(name, alphabet, sorted(states))
         li, si, outs, targets = table.letter_index, table.state_index, table.outs, table.targets
+        width = table.width
         for (q, a), (b, p) in transitions.items():
             if (i := si.get(q)) is None:
                 raise ValueError(f"transition source {q!r} is not a declared state")
@@ -215,46 +210,23 @@ class MealyAutomaton:
                 raise ValueError(f"transition output {b!r} is not in the alphabet")
             outs[i * width + j] = o
             targets[i * width + j] = t
-        object.__setattr__(self, "name", name)
+        self._wrap(table, alphabet, states)
+
+    @classmethod
+    def _of(cls, table: "_Table") -> "MealyAutomaton":
+        """The automaton that wraps a filled table, whose name, letters and
+        states must pass the token checks."""
+        _check_token(table.name, "state name")
+        automaton = cls.__new__(cls)
+        automaton._wrap(table, *_checked_tokens(table.letters, table.states))
+        return automaton
+
+    def _wrap(self, table: "_Table", alphabet: frozenset[Letter], states: frozenset[State]):
+        table.rows = [None] * (2 * len(table.states))
+        object.__setattr__(self, "name", table.name)
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "_table", table)
-
-    @classmethod
-    def from_rows(
-        cls,
-        name: str,
-        letters: Iterable[Letter],
-        states: Iterable[State],
-        outs: Iterable[int],
-        targets: Iterable[int],
-    ) -> "MealyAutomaton":
-        """The automaton whose integer table is given: letters in sorted
-        order, states in any order, and per state one row of len(letters)
-        cells in outs and in targets, laid end to end. Cell j of state i's
-        row holds the index of the letter it emits on letters[j] (-1 where
-        undefined) and the index of the state it moves to (0 where
-        undefined)."""
-        _check_state_token(name)
-        letters, states, outs, targets = tuple(letters), tuple(states), list(outs), list(targets)
-        alphabet, state_set = _checked_tokens(letters, states)
-        cells = len(states) * len(letters)
-        if list(letters) != sorted(alphabet) or len(state_set) != len(states):
-            raise ValueError("row letters must be sorted and distinct, and states distinct")
-        if len(outs) != cells or len(targets) != cells:
-            raise ValueError(f"rows need {cells} cells for outputs and for targets")
-        if cells and not (
-            -1 <= min(outs) and max(outs) < len(letters)
-            and 0 <= min(targets) and max(targets) < len(states)
-            and not any(t for t, b in zip(targets, outs) if b < 0)
-        ):
-            raise ValueError("a row cell is out of range, or undefined but not targeting state 0")
-        automaton = cls.__new__(cls)
-        object.__setattr__(automaton, "name", name)
-        object.__setattr__(automaton, "alphabet", alphabet)
-        object.__setattr__(automaton, "states", state_set)
-        object.__setattr__(automaton, "_table", _Table(name, letters, states, outs, targets))
-        return automaton
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MealyAutomaton):
@@ -325,7 +297,7 @@ class Acceptor:
         initial: Iterable[State],
         final: Iterable[State],
     ):
-        _check_state_token(name)
+        _check_token(name, "state name")
         alphabet, states = _checked_tokens(alphabet, states)
         transitions = tuple(transitions)
         for (q, a, p) in transitions:  # in the order given, so the error repeats
@@ -408,30 +380,62 @@ class _RowTransitions(Mapping):
 _AMBIGUOUS = object()
 
 
+class _StateIndex(dict):
+    """State name -> row index over the states, outs and targets lists of a
+    _Table. A name not in it yet gets the next index and an undefined row of
+    width cells: output -1, target 0."""
+
+    def __init__(self, states: list[State], outs: list[int], targets: list[int], width: int):
+        super().__init__(zip(states, range(len(states))))
+        self.states, self.outs, self.targets = states, outs, targets
+        self.undefined, self.untargeted = [-1] * width, [0] * width
+
+    def __missing__(self, q: State) -> int:
+        i = self[q] = len(self.states)
+        self.states.append(q)
+        self.outs.extend(self.undefined)
+        self.targets.extend(self.untargeted)
+        return i
+
+
 class _Table:
     """The integer table of a MealyAutomaton, which actions, check_properties
-    and minimize read. letters is the sorted alphabet; state i's row is the
-    len(letters) cells from i * len(letters) on in outs and in targets,
-    holding per letter the index of the output letter (-1 where undefined)
-    and of the next state (0 where undefined).
+    and minimize read, and its builder. letters is the sorted alphabet and
+    width its size; state i's row is the width cells from i * width on in
+    outs and in targets, holding per letter the index of the output letter
+    (-1 where undefined) and of the next state (0 where undefined).
+
+    A table is filled before an automaton wraps it (MealyAutomaton._of):
+    the states it is given get the first rows, undefined, and add writes one
+    cell, giving a state named for the first time the next row. Row indices
+    come only from state_index, so every cell is in range.
 
     Actions step signed states: 2*i is state i, 2*i + 1 its inverse.
-    rows[s] is None until s is first stepped, then holds per letter (output
-    letter, next signed state), None where undefined, or _AMBIGUOUS where an
-    inverse has several candidate transitions."""
+    rows, set when the table is wrapped, holds per signed state s None until
+    s is first stepped, then per letter (output letter, next signed state),
+    None where undefined, or _AMBIGUOUS where an inverse has several
+    candidate transitions."""
 
-    def __init__(self, name: str, letters, states, outs: list[int], targets: list[int]):
-        self.name, self.letters, self.states = name, letters, states
-        self.outs, self.targets = outs, targets
-        self.letter_index = {a: j for j, a in enumerate(letters)}
-        self.state_index = {q: i for i, q in enumerate(states)}
-        self.rows: list[list | None] = [None] * (2 * len(states))
+    def __init__(self, name: str, letters: Iterable[Letter], states: Iterable[State] = ()):
+        self.name, self.letters, self.states = name, sorted(letters), list(states)
+        self.width = len(self.letters)
+        cells = len(self.states) * self.width
+        self.outs, self.targets = [-1] * cells, [0] * cells
+        self.letter_index = {a: j for j, a in enumerate(self.letters)}
+        self.state_index = _StateIndex(self.states, self.outs, self.targets, self.width)
+
+    def add(self, q: State, a: Letter, b: Letter, p: State) -> None:
+        """Write one cell: q emits b on a and moves to p."""
+        si, li = self.state_index, self.letter_index
+        k = si[q] * self.width + li[a]
+        self.outs[k] = li[b]
+        self.targets[k] = si[p]
 
     @_gc_paused
     def transitions(self) -> dict[tuple[State, Letter], tuple[Letter, State]]:
         """The (state, letter) -> (output letter, next state) dict of the table."""
         letters, states, outs, targets = self.letters, self.states, self.outs, self.targets
-        width = len(letters)
+        width = self.width
         return {
             (q, a): (letters[outs[k]], states[targets[k]])
             for i, q in enumerate(states)
@@ -450,7 +454,7 @@ class _Table:
 
     def row(self, s: int) -> list:
         """Build, cache and return the row of signed state s."""
-        inverted, width = s & 1, len(self.letters)
+        inverted, width = s & 1, self.width
         k = (s >> 1) * width
         row: list = [None] * width
         for a, (b, t) in enumerate(zip(self.outs[k:k + width], self.targets[k:k + width])):
@@ -564,7 +568,7 @@ def check_properties(automaton: MealyAutomaton) -> PropertyReport:
     Each flag compares a count of distinct pairs with the number of
     transitions (no repeats) or with states * letters (every pair occurs)."""
     table = automaton._table
-    outs, targets, width = table.outs, table.targets, len(table.letters)
+    outs, targets, width = table.outs, table.targets, table.width
     full = len(outs)
     n = full - outs.count(-1)
     rows = (set(outs[k:k + width]) for k in range(0, full, width or 1))
@@ -677,14 +681,15 @@ def minimize(automaton: MealyAutomaton) -> tuple[MealyAutomaton, dict[State, Sta
     undefined transition counting as an output of its own, and a class
     splits while two of its states move on some letter into different
     classes. Each class is named by its least state name, and class_of maps
-    every state to that name. The quotient is built from rows and keeps the
-    name and the whole alphabet, so constraint acceptors still match it. A
-    state and its class act alike on every word, inverted too: they have the
-    same outputs, so ~q steps ambiguously exactly where ~class_of[q] does.
+    every state to that name. The quotient's table is filled from the rows
+    of those least states; it keeps the name and the whole alphabet, so
+    constraint acceptors still match it. A state and its class act alike on
+    every word, inverted too: they have the same outputs, so ~q steps
+    ambiguously exactly where ~class_of[q] does.
     Names and orders do not depend on string hashing."""
     table = automaton._table
     letters, states, outs, targets = table.letters, table.states, table.outs, table.targets
-    width = len(letters)
+    width = table.width
     ids: dict = {}
     rows = (tuple(outs[i * width:(i + 1) * width]) for i in range(len(states)))
     cls = [ids.setdefault(row, len(ids)) for row in rows]
@@ -704,11 +709,11 @@ def minimize(automaton: MealyAutomaton) -> tuple[MealyAutomaton, dict[State, Sta
     position = {c: r for r, c in enumerate(least)}  # class -> its state in the quotient
     names = [states[i] for i in least.values()]
     class_of = {states[i]: names[position[cls[i]]] for i in order}
-    q_outs: list[int] = []
-    q_targets: list[int] = []
-    for i in least.values():
-        row = slice(i * width, (i + 1) * width)
-        q_outs += outs[row]
-        q_targets += [position[cls[t]] if b >= 0 else 0 for b, t in zip(outs[row], targets[row])]
-    quotient = MealyAutomaton.from_rows(automaton.name, letters, names, q_outs, q_targets)
-    return quotient, class_of
+    quotient = _Table(automaton.name, letters, names)
+    for r, i in enumerate(least.values()):
+        row, k = slice(i * width, (i + 1) * width), r * width
+        quotient.outs[k:k + width] = outs[row]
+        quotient.targets[k:k + width] = [
+            position[cls[t]] if b >= 0 else 0 for b, t in zip(outs[row], targets[row])
+        ]
+    return MealyAutomaton._of(quotient), class_of

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import MalformedDfa
-from .mealy import Acceptor, MealyAutomaton, State, StateSequence
+from .mealy import Acceptor, MealyAutomaton, State, StateSequence, _Table
 from .wordproblem import WordProblemInstance
 
 BIT_ALPHABET = frozenset({"0", "1"})
@@ -98,10 +98,8 @@ def reduce_dfa_intersection(d: DfaList, group_variant: bool = False) -> WordProb
     shape on which the construction is meaningful.
     """
     r = d.r
-    trans: dict[tuple[str, str], tuple[str, str]] = {}
-
-    def add(q: str, a: str, b: str, p: str) -> None:
-        trans[(q, a)] = (b, p)
+    table = _Table("dfa-isect-group" if group_variant else "dfa-isect", ("0", "1", "#"))
+    add = table.add
 
     # Conditional flipper: tracks whether the y-block is all ones, then
     # flips the trailing bit only when it is not.
@@ -147,12 +145,12 @@ def reduce_dfa_intersection(d: DfaList, group_variant: bool = False) -> WordProb
 
     # Per-DFA copies with identity outputs, bridging at # into the bit
     # gadget: a rejecting run must see its bit as 1 and switches it to 0, an
-    # accepting run checks the 1 and keeps it.
+    # accepting run checks the 1 and keeps it. States are named in sorted
+    # order, so the table's row order does not depend on string hashing.
     for k, acc in enumerate(d.dfas, start=1):
-        steps = _deterministic_steps(acc)
-        for (q, a), p in steps.items():
+        for (q, a), p in sorted(_deterministic_steps(acc).items()):
             add(f"dfa{k}_{q}", a, a, f"dfa{k}_{p}")
-        for q in acc.states:
+        for q in sorted(acc.states):
             entry = f"kp{k}_0" if q in acc.final else f"sw{k}_0"
             add(f"dfa{k}_{q}", "#", "#", entry)
         for kind in ("sw", "kp"):
@@ -186,10 +184,7 @@ def reduce_dfa_intersection(d: DfaList, group_variant: bool = False) -> WordProb
                 for a in ("0", "1", "#"):
                     add(term, a, a, term)
 
-    name = "dfa-isect-group" if group_variant else "dfa-isect"
-    # every state is the source or the target of a transition
-    states = {q for q, _a in trans} | {p for _b, p in trans.values()}
-    aut = MealyAutomaton(name, ("0", "1", "#"), states, trans)
+    aut = MealyAutomaton._of(table)
 
     copies = [
         f"dfa{k}_{next(iter(acc.initial))}"
@@ -224,11 +219,9 @@ def reduce_dfa_emptiness(dfa: Acceptor) -> WordProblemInstance:
     states and 0/1-swapped at final states; the sides agree exactly when no
     run ever reads a letter from a final state.
     """
-    steps = _deterministic_steps(dfa)
-    trans = {}
-    for (q, a), p in steps.items():
-        out = a if q not in dfa.final else ("1" if a == "0" else "0")
-        trans[(q, a)] = (out, p)
-    aut = MealyAutomaton("dfa-empty", ("0", "1"), dfa.states, trans)
+    table = _Table("dfa-empty", ("0", "1"), sorted(dfa.states))
+    for (q, a), p in _deterministic_steps(dfa).items():
+        table.add(q, a, a if q not in dfa.final else ("1" if a == "0" else "0"), p)
+    aut = MealyAutomaton._of(table)
     initial = next(iter(dfa.initial))
     return WordProblemInstance(aut, StateSequence([initial]), StateSequence())

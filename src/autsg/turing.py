@@ -47,7 +47,7 @@ from .mealy import (
     MealyAutomaton,
     StateSequence,
     Word,
-    _check_state_token,
+    _check_token,
     _Table,
 )
 from .wordproblem import WordProblemInstance
@@ -61,15 +61,6 @@ FULL_ENTRY = "full0"
 PROBE_ENTRY = "probe0"
 FAIL_ENTRY = "bump0"
 SINK_STATE = "sink"
-
-
-def _check_tm_token(tok: str, what: str) -> None:
-    if not isinstance(tok, str) or not tok:
-        raise ValueError(f"{what} must be a non-empty string, got {tok!r}")
-    if tok.split() != [tok]:
-        raise ValueError(f"{what} may not contain whitespace: {tok!r}")
-    if ":" in tok or "|" in tok:
-        raise ValueError(f"{what} may not contain ':' or '|': {tok!r}")
 
 
 def head_token(symbol: str, state: str) -> str:
@@ -109,16 +100,20 @@ class TuringMachineSpec:
         finals: Iterable[str],
         rules: Mapping[tuple[str, str], tuple[str, str, str]],
     ):
-        _check_state_token(name)
+        _check_token(name, "state name")
         tape_alphabet, states = tuple(tape_alphabet), tuple(states)
         for g in tape_alphabet:  # in the order given, so the error repeats
-            _check_tm_token(g, "tape symbol")
+            _check_token(g, "tape symbol")
+            if ":" in g or "|" in g:
+                raise ValueError(f"tape symbol may not contain ':' or '|': {g!r}")
             if g in _RESERVED_LETTERS:
                 raise ValueError(f"tape symbol {g!r} collides with a reserved letter")
             if g.startswith("~"):
                 raise ValueError(f"tape symbol may not begin with '~': {g!r}")
         for z in states:
-            _check_tm_token(z, "machine state")
+            _check_token(z, "machine state")
+            if ":" in z or "|" in z:
+                raise ValueError(f"machine state may not contain ':' or '|': {z!r}")
         tape_alphabet, states, finals = map(frozenset, (tape_alphabet, states, finals))
         if blank not in tape_alphabet:
             raise ValueError(f"blank {blank!r} must be in the tape alphabet")
@@ -337,44 +332,20 @@ def checker_family_size(n_delta: int) -> int:
     return 2 * n_delta**3 * (n_delta + 1) ** 2 + n_delta**3 + 3
 
 
-class _Rows(dict):
-    """State name -> row index, in the order states are first named. A new
-    name gets the next index and an undefined row of width cells in outs
-    and targets."""
-
-    def __init__(self, width: int):
-        super().__init__()
-        self.width, self.outs, self.targets = width, [], []
-
-    def __missing__(self, q: str) -> int:
-        i = self[q] = len(self)
-        self.outs += [-1] * self.width
-        self.targets += [0] * self.width
-        return i
-
-
 def build_tm_automaton(tm: TuringMachineSpec, params: TmReductionParams) -> MealyAutomaton:
     """The full reduction automaton over sigma = Delta + {0,1,#,$}, the
     whole checker family included, unreachable states too (minimize gives
-    its Moore quotient). add fills integer rows, one per state in the order
-    states are first named, and the automaton is built from_rows, so its
+    its Moore quotient). add fills one _Table, a row per state in the order
+    states are first named, and MealyAutomaton._of wraps it, so its
     transitions dict is derived only if it is read. The group variant is
-    completed on the rows and must pass the G-automaton check on them;
+    completed on the table and must pass the G-automaton check on it;
     failure raises NotGAutomaton."""
     delta = delta_alphabet(tm)
     sigma = sigma_alphabet(tm)
     group = params.group_variant
     tau = derive_tau(tm)
-    letters = sorted(sigma)
-    width = len(letters)
-    letter_index = {a: j for j, a in enumerate(letters)}
-    rows = _Rows(width)
-    outs, targets = rows.outs, rows.targets
-
-    def add(q: str, a: str, b: str, p: str) -> None:
-        k = rows[q] * width + letter_index[a]
-        outs[k] = letter_index[b]
-        targets[k] = rows[p]
+    table = _Table(f"tm-{tm.name}-group" if group else f"tm-{tm.name}", sigma)
+    add = table.add
 
     # --- check-marking: increment blocks up to the first all-zero one
     for g in delta:
@@ -503,19 +474,16 @@ def build_tm_automaton(tm: TuringMachineSpec, params: TmReductionParams) -> Meal
         add("bump3", "0", "0", "bump4")
         for x in sigma:
             add(SINK_STATE, x, x, SINK_STATE)
-    if group:
-        _complete_rows(outs, targets, width, rows[SINK_STATE])
-    name = f"tm-{tm.name}-group" if group else f"tm-{tm.name}"
-    aut = MealyAutomaton.from_rows(name, letters, rows, outs, targets)
-    if group:
-        _check_group_rows(aut._table)
-    return aut
+        _complete_rows(table, table.state_index[SINK_STATE])
+        _check_group_rows(table)
+    return MealyAutomaton._of(table)
 
 
-def _complete_rows(outs: list[int], targets: list[int], width: int, sink: int) -> None:
+def _complete_rows(table: _Table, sink: int) -> None:
     """The identity-preferring sink completion, in place: each undefined
     cell of a row emits its own letter if the row does not emit it yet, else
     the least letter the row does not emit, and moves to the sink."""
+    outs, targets, width = table.outs, table.targets, table.width
     for k in range(0, len(outs), width):
         row = outs[k:k + width]
         if -1 not in row:
@@ -532,7 +500,7 @@ def _check_group_rows(table: _Table) -> None:
     """Raise NotGAutomaton unless every row of the table emits every letter
     exactly once: complete and inverse-deterministic, the class check of
     the group variant."""
-    width, outs = len(table.letters), table.outs
+    width, outs = table.width, table.outs
     letters = set(range(width))
     for i, q in enumerate(table.states):
         if set(outs[i * width:(i + 1) * width]) != letters:

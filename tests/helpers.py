@@ -16,7 +16,10 @@ from autsg import (
     StateSequence,
     TuringMachineSpec,
     UndefinedAt,
+    WordProblemInstance,
+    decide,
 )
+from autsg.mealy import _Table
 
 # Stays put forever, no final states; z1 exists only to make the cell
 # alphabet six tokens wide.
@@ -41,6 +44,9 @@ SCANNER = TuringMachineSpec(
     {("z0", "a"): ("a", "z0", "R"), ("z0", "_"): ("_", "zf", "N")},
 )
 
+# One blank, one state, accepting at once: a 155-state reduction automaton.
+TINY = TuringMachineSpec("tiny", ["_"], "_", ["z"], "z", ["z"], {})
+
 
 def W(s: str) -> tuple[str, ...]:
     """Word shorthand for single-character alphabets: W("010") == ("0","1","0")."""
@@ -59,6 +65,26 @@ def S(*items) -> StateSequence:
         else:
             out.append(SignedState(it))
     return StateSequence(out)
+
+
+def rebuilt_with_add(automaton: MealyAutomaton) -> MealyAutomaton:
+    """The automaton rebuilt cell by cell through _Table.add, its states
+    declared in reverse-sorted order, so not in the order the dict
+    constructor gives them."""
+    table = _Table(automaton.name, automaton.alphabet, sorted(automaton.states, reverse=True))
+    for (q, a), (b, p) in automaton.transitions.items():
+        table.add(q, a, b, p)
+    return MealyAutomaton._of(table)
+
+
+def assert_built_as_from_a_dict(inst: WordProblemInstance) -> None:
+    """inst's automaton, which a construction filled through a _Table, has
+    the structure the dict constructor gives its transitions, and the two
+    decide inst alike."""
+    aut = inst.automaton
+    again = MealyAutomaton(aut.name, aut.alphabet, aut.states, dict(aut.transitions))
+    assert aut.same_structure(again) and again.same_structure(aut)
+    assert decide(WordProblemInstance(again, inst.lhs, inst.rhs, inst.constraints)) == decide(inst)
 
 
 def act(automaton: MealyAutomaton, seq, word) -> Defined | UndefinedAt:

@@ -12,13 +12,13 @@ import gc
 from contextlib import contextmanager
 
 import pytest
-from helpers import SCANNER
+from helpers import SCANNER, TINY, rebuilt_with_add
 
 from autsg.errors import ConfigBudgetExceeded, ParseError
 from autsg.gadgets import build_gadget, separation_instance
 from autsg.mealy import MealyAutomaton, _gc_paused, _Table, check_properties, minimize
 from autsg.textio import parse_text, serialize_automaton
-from autsg.turing import TmReductionParams, TuringMachineSpec, build_tm_automaton
+from autsg.turing import TmReductionParams, build_tm_automaton
 from autsg.wordproblem import WordProblemInstance, _search, decide, oracle_decide
 
 ADDING = build_gadget("adding")
@@ -39,14 +39,7 @@ SPIRAL = MealyAutomaton(
 )
 
 
-def _from_rows(automaton: MealyAutomaton) -> MealyAutomaton:
-    """The automaton rebuilt from its integer table."""
-    t = automaton._table
-    return MealyAutomaton.from_rows(automaton.name, t.letters, t.states, t.outs, t.targets)
-
-
-SPIRAL_ROWS = _from_rows(SPIRAL)
-TINY = TuringMachineSpec("tiny", ["_"], "_", ["z"], "z", ["z"], {})
+SPIRAL_ROWS = rebuilt_with_add(SPIRAL)
 TINY_GROUP = TmReductionParams(p_val=1, group_variant=True)
 SEPARATION = separation_instance("dual-adding", 9)
 
@@ -74,7 +67,7 @@ CALLS = {
     "check_properties": lambda: check_properties(RING),
     "minimize": lambda: minimize(RING),
     "minimize (rows)": lambda: minimize(SPIRAL_ROWS),
-    "transitions (rows)": lambda: _from_rows(RING).transitions.copy(),
+    "transitions (rows)": lambda: rebuilt_with_add(RING).transitions.copy(),
     "decide": lambda: decide(WordProblemInstance(ADDING, ["+1"], ["+0"])),
     "oracle_decide": lambda: oracle_decide(WordProblemInstance(ADDING, ["+1"], ["+1"]), 4),
 }

@@ -36,12 +36,14 @@ from autsg import (
     minimize,
     union,
 )
+from autsg.mealy import _Table
 from autsg.textio import parse_text, serialize_automaton
 from helpers import (
     S,
     W,
     act,
     class_flags,
+    rebuilt_with_add,
     rename_letters,
     rename_states,
     renamed,
@@ -495,18 +497,12 @@ def test_minimize_without_letters_or_states():
     assert class_of == {} and quotient.states == frozenset()
 
 
-def _from_rows(automaton: MealyAutomaton) -> MealyAutomaton:
-    """The automaton rebuilt from its integer table."""
-    t = automaton._table
-    return MealyAutomaton.from_rows(automaton.name, t.letters, t.states, t.outs, t.targets)
-
-
 def test_rows_count_their_transitions_without_deriving_them():
-    # built from rows, from a dict or by the parser, an automaton keeps only
-    # its table until transitions are read
+    # built through _Table.add, from a dict or by the parser, an automaton
+    # keeps only its table until transitions are read
     text = serialize_automaton(ADDING)
     for make in (
-        lambda: _from_rows(ADDING),
+        lambda: rebuilt_with_add(ADDING),
         lambda: build_gadget("adding"),
         lambda: parse_text(text).automata[ADDING.name],
     ):
@@ -518,24 +514,18 @@ def test_rows_count_their_transitions_without_deriving_them():
 
 
 def test_row_validation():
-    ok = dict(letters="ab", states=["q", "p"], outs=[1, -1, 0, 0], targets=[1, 0, 0, 1])
-    MealyAutomaton.from_rows("x", **ok)
-    bad = [
-        dict(letters="ba"),  # letters must be sorted
-        dict(letters="aab", outs=[1, -1, 0] * 2, targets=[0] * 6),
-        dict(states=["q", "q"]),
-        dict(states=["q r", "p"]),
-        dict(outs=[1, -1, 0]),  # one cell short
-        dict(outs=[1, -1, 0, 2]),  # no letter 2
-        dict(outs=[1, -2, 0, 0]),
-        dict(targets=[1, 0, 0, 2]),  # no state 2
-        dict(targets=[1, 1, 0, 1]),  # an undefined cell targets state 1
-    ]
-    for change in bad:
-        with pytest.raises(ValueError):
-            MealyAutomaton.from_rows("x", **{**ok, **change})
-    with pytest.raises(ValueError):
-        MealyAutomaton.from_rows("x y", **ok)
+    # add gives a state first named as a target the next row, undefined;
+    # _of checks the tokens of the table it wraps
+    table = _Table("x", "ba", ["q"])
+    table.add("q", "a", "b", "p")
+    assert (table.letters, table.states) == (["a", "b"], ["q", "p"])
+    assert (table.outs, table.targets) == ([1, -1, -1, -1], [1, 0, 0, 0])
+    aut = MealyAutomaton._of(table)
+    assert aut == MealyAutomaton("x", "ab", "qp", {("q", "a"): ("b", "p")})
+    assert act_word(aut, ["q"], "ab") == UndefinedAt(1)
+    for name, states, bad in (("x", ["q r", "p"], "'q r'"), ("x y", ["q", "p"], "'x y'")):
+        with pytest.raises(ValueError, match=f"state name may not contain whitespace: {bad}"):
+            MealyAutomaton._of(_Table(name, "ab", states))
 
 
 # ------------------------------------------------------------ property style
@@ -669,12 +659,12 @@ def test_minimize_keeps_the_class_flags(aut, group):
 @given(automata(), automata(group=True))
 def test_automata_rebuilt_from_their_rows_keep_the_contracts(aut, group):
     for automaton in (aut, group):
-        rows = _from_rows(automaton)
+        rows = rebuilt_with_add(automaton)
         assert rows == automaton and automaton == rows
         assert rows.same_structure(automaton) and automaton.same_structure(rows)
         assert serialize_automaton(rows) == serialize_automaton(automaton)
         with pytest.raises(TypeError):
             rows.transitions[min(rows.states), min(rows.alphabet)] = ("x0", "q0")
-        report, want = check_properties(_from_rows(automaton)), class_flags(automaton)
+        report, want = check_properties(rebuilt_with_add(automaton)), class_flags(automaton)
         assert {flag: getattr(report, flag) for flag in want} == want
         assert dual(dual(rows)).same_structure(rows)

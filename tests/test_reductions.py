@@ -22,7 +22,7 @@ from autsg.reductions import (
     reduce_dfa_emptiness,
     reduce_dfa_intersection,
 )
-from helpers import W
+from helpers import W, assert_built_as_from_a_dict
 
 
 def bit_dfa(name, states, initial, finals, edges):
@@ -230,6 +230,7 @@ def test_intersection_matches_oracle_on_random_inputs():
             inst = reduce_dfa_intersection(d, group)
             got = decide(inst)
             assert (got.kind == EQUAL) == want_equal, (trial, group)
+            assert_built_as_from_a_dict(inst)
 
 
 # -------------------------------------------------------------- emptiness
@@ -265,7 +266,9 @@ def test_emptiness_witness_length_law():
     interesting = 0
     for trial in range(30):
         dfa = random_dfa(rng, f"e{trial}", max_states=5)
-        v = decide(reduce_dfa_emptiness(dfa))
+        inst = reduce_dfa_emptiness(dfa)
+        assert_built_as_from_a_dict(inst)
+        v = decide(inst)
         if dfa_language_empty(dfa):
             assert v.kind == EQUAL
             continue

@@ -15,7 +15,6 @@ from autsg.cli import run
 from autsg.errors import LeftEdgeViolated, NotGAutomaton, SpaceBoundViolated
 from autsg.mealy import (
     Defined,
-    MealyAutomaton,
     UndefinedAt,
     _Table,
     acceptor_accepts,
@@ -43,7 +42,7 @@ from autsg.turing import (
 )
 from autsg.wordproblem import NOT_EQUAL, WordProblemInstance, decide
 
-from helpers import renamed
+from helpers import TINY, assert_built_as_from_a_dict, renamed
 
 # Accepts immediately, regardless of input.
 ACCEPT_NOW = TuringMachineSpec(
@@ -275,8 +274,14 @@ def test_group_completion_prefers_identity():
 
 
 def _table(outs: list[int]) -> _Table:
-    """The integer table of two states q0 and q1 over the letters a, b, c."""
-    return MealyAutomaton.from_rows("t", "abc", ["q0", "q1"], outs, [0] * 6)._table
+    """The table of two states q0 and q1 over the letters a, b, c, declared
+    in reverse order, so q1 has row 0: qi emits letter outs[3 * i + j] on
+    letter j (nothing where -1) and moves to q0."""
+    table = _Table("t", "abc", ["q1", "q0"])
+    for k, b in enumerate(outs):
+        if b >= 0:
+            table.add(f"q{k // 3}", "abc"[k % 3], "abc"[b], "q0")
+    return table
 
 
 def test_group_class_check_reads_every_row():
@@ -290,11 +295,12 @@ def test_group_class_check_reads_every_row():
 def test_group_completion_fails_the_check_on_a_repeated_output():
     # q1 emits b on a and on c: the completion fills its b cell with the
     # only letter left, a, and cannot undo the repeat
-    outs, targets = [0, -1, -1, 1, -1, 1], [0] * 6
-    _complete_rows(outs, targets, 3, sink=1)
-    assert outs == [0, 1, 2, 1, 0, 1] and targets == [0, 1, 1, 0, 1, 0]
+    table = _table([0, -1, -1, 1, -1, 1])
+    _complete_rows(table, sink=table.state_index["q1"])
+    # rows q1, then q0; q0 is state 1 and the sink q1 state 0
+    assert table.outs == [1, 0, 1, 0, 1, 2] and table.targets == [1, 0, 1, 1, 0, 0]
     with pytest.raises(NotGAutomaton, match="'q1'"):
-        _check_group_rows(MealyAutomaton.from_rows("t", "abc", ["q0", "q1"], outs, targets)._table)
+        _check_group_rows(table)
 
 
 def test_reduce_tm_derives_no_literal_transitions(tmp_path, monkeypatch, capsys):
@@ -416,6 +422,13 @@ def test_decide_accepting_machine_group():
     v = decide(inst)
     assert v.kind == NOT_EQUAL
     assert v.witness == encode_computation(ACCEPT_NOW, params, 1)
+
+
+@pytest.mark.parametrize("group", [False, True], ids=["inverse", "group"])
+def test_reduce_tm_builds_as_from_a_dict(group):
+    inst = reduce_tm(TINY, TmReductionParams(p_val=1, group_variant=group))
+    assert_built_as_from_a_dict(inst)
+    assert decide(inst).kind == NOT_EQUAL
 
 
 def _one_segment_words(tm, params):
