@@ -380,24 +380,6 @@ class _RowTransitions(Mapping):
 _AMBIGUOUS = object()
 
 
-class _StateIndex(dict):
-    """State name -> row index over the states, outs and targets lists of a
-    _Table. A name not in it yet gets the next index and an undefined row of
-    width cells: output -1, target 0."""
-
-    def __init__(self, states: list[State], outs: list[int], targets: list[int], width: int):
-        super().__init__(zip(states, range(len(states))))
-        self.states, self.outs, self.targets = states, outs, targets
-        self.undefined, self.untargeted = [-1] * width, [0] * width
-
-    def __missing__(self, q: State) -> int:
-        i = self[q] = len(self.states)
-        self.states.append(q)
-        self.outs.extend(self.undefined)
-        self.targets.extend(self.untargeted)
-        return i
-
-
 class _Table:
     """The integer table of a MealyAutomaton, which actions, check_properties
     and minimize read, and its builder. letters is the sorted alphabet and
@@ -422,14 +404,22 @@ class _Table:
         cells = len(self.states) * self.width
         self.outs, self.targets = [-1] * cells, [0] * cells
         self.letter_index = {a: j for j, a in enumerate(self.letters)}
-        self.state_index = _StateIndex(self.states, self.outs, self.targets, self.width)
+        self.state_index = {q: i for i, q in enumerate(self.states)}
 
     def add(self, q: State, a: Letter, b: Letter, p: State) -> None:
         """Write one cell: q emits b on a and moves to p."""
         si, li = self.state_index, self.letter_index
-        k = si[q] * self.width + li[a]
+        k = (si[q] if q in si else self._new_row(q)) * self.width + li[a]
         self.outs[k] = li[b]
-        self.targets[k] = si[p]
+        self.targets[k] = si[p] if p in si else self._new_row(p)
+
+    def _new_row(self, q: State) -> int:
+        """The index of the next row, given to the new state q, undefined."""
+        i = self.state_index[q] = len(self.states)
+        self.states.append(q)
+        self.outs += [-1] * self.width
+        self.targets += [0] * self.width
+        return i
 
     @_gc_paused
     def transitions(self) -> dict[tuple[State, Letter], tuple[Letter, State]]:
