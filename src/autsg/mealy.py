@@ -624,7 +624,9 @@ def dual(automaton: MealyAutomaton) -> MealyAutomaton:
 
     For every q -a/b-> p the dual has a -q/p-> b: dual-state a reads the
     letter q, emits the letter p and moves to dual-state b. States must
-    satisfy the letter token rules (no leading ~) for this to be well formed.
+    satisfy the letter token rules (no leading ~) for this to be well formed,
+    and are checked in sorted order, so the one an error names does not
+    depend on string hashing.
     """
     trans = {
         (a, q): (p, b)
@@ -632,8 +634,8 @@ def dual(automaton: MealyAutomaton) -> MealyAutomaton:
     }
     return MealyAutomaton(
         f"dual_{automaton.name}",
-        automaton.states,
-        automaton.alphabet,
+        sorted(automaton.states),
+        sorted(automaton.alphabet),
         trans,
     )
 

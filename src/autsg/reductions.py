@@ -5,12 +5,17 @@ Two compilers and one independent oracle:
 * reduce_dfa_intersection turns "is the intersection of r DFA languages
   empty?" into a word-problem instance over the alphabet {0,1,#}. Input
   words have the shape w # y1..yr # z. Each DFA gets a state copy acting as
-  the identity on w, branching at # into a bit gadget that either requires
-  its own bit position to be 1 and flips it to 0 (reached from a rejecting
-  run) or requires 1 and keeps it (accepting run). The two sides differ only
-  in the leftmost item: a conditional flipper that flips the trailing bit
-  unless the y-block arrives all ones, versus an unconditional flipper. The
-  outputs disagree exactly on w # 1^r # 1 with w in every language.
+  the identity on w and branching at # into a counter. A counter is a chain
+  of r+3 positions that counts the letters after the first #: position
+  i < r reads the bit yi+1, position r the second #, r+1 the trailing bit z
+  and r+2 nothing. Each position emits its letter, with 0 and 1 exchanged
+  at one position, and moves to the next. DFA k's counter requires a 1 at
+  position k-1; from a rejecting run it switches that bit to 0, from an
+  accepting run it keeps it. The two sides differ only in the leftmost
+  item: a conditional flipper, whose counter switches z unless the y-block
+  arrives all ones, against an unconditional one. The outputs disagree
+  exactly on w # 1^r # 1 with w in every language. In the group variant
+  every position reads all three letters.
 
 * reduce_dfa_emptiness turns "is L(A) empty?" into comparing [initial] with
   the empty sequence on an automaton that copies A and swaps 0/1 at final
@@ -31,20 +36,23 @@ from .mealy import Acceptor, MealyAutomaton, State, StateSequence, _Table
 from .wordproblem import WordProblemInstance
 
 BIT_ALPHABET = frozenset({"0", "1"})
+_SAME = {"0": "0", "1": "1", "#": "#"}
+_SWAPPED = {"0": "1", "1": "0", "#": "#"}
 
 
 def _deterministic_steps(acc: Acceptor) -> dict[tuple[State, str], State]:
-    """Step map of a DFA, validating determinism and completeness."""
+    """Step map of a DFA, validating determinism and completeness in sorted
+    order, so that the pair an error names does not depend on hashing."""
     if acc.alphabet != BIT_ALPHABET:
         raise MalformedDfa(f"{acc.name}: alphabet must be exactly {{0,1}}")
     if len(acc.initial) != 1:
         raise MalformedDfa(f"{acc.name}: exactly one initial state required")
     steps: dict[tuple[State, str], State] = {}
-    for (q, a, p) in acc.transitions:
+    for (q, a, p) in sorted(acc.transitions):
         if (q, a) in steps:
             raise MalformedDfa(f"{acc.name}: nondeterministic on ({q!r}, {a!r})")
         steps[(q, a)] = p
-    for q in acc.states:
+    for q in sorted(acc.states):
         for a in ("0", "1"):
             if (q, a) not in steps:
                 raise MalformedDfa(f"{acc.name}: missing transition on ({q!r}, {a!r})")
@@ -53,7 +61,8 @@ def _deterministic_steps(acc: Acceptor) -> dict[tuple[State, str], State]:
 
 @dataclass(frozen=True)
 class DfaList:
-    """A non-empty list of complete deterministic acceptors over {0,1}."""
+    """A non-empty list of complete deterministic acceptors over {0,1}.
+    _steps keeps each DFA's step map, sorted, as the check built it."""
 
     dfas: tuple[Acceptor, ...]
 
@@ -61,8 +70,7 @@ class DfaList:
         dfas = tuple(dfas)
         if not dfas:
             raise MalformedDfa("need at least one DFA")
-        for acc in dfas:
-            _deterministic_steps(acc)
+        object.__setattr__(self, "_steps", tuple(_deterministic_steps(acc) for acc in dfas))
         object.__setattr__(self, "dfas", dfas)
 
     @property
@@ -73,7 +81,6 @@ class DfaList:
 def dfa_intersection_empty(d: DfaList) -> bool:
     """Product-automaton reachability: true iff no jointly-final product
     state is reachable."""
-    steps = [_deterministic_steps(acc) for acc in d.dfas]
     start = tuple(next(iter(acc.initial)) for acc in d.dfas)
     seen = {start}
     queue = deque([start])
@@ -82,7 +89,7 @@ def dfa_intersection_empty(d: DfaList) -> bool:
         if all(q in acc.final for q, acc in zip(prod, d.dfas)):
             return False
         for a in ("0", "1"):
-            nxt = tuple(m[(q, a)] for q, m in zip(prod, steps))
+            nxt = tuple(m[(q, a)] for q, m in zip(prod, d._steps))
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
@@ -93,122 +100,71 @@ def reduce_dfa_intersection(d: DfaList, group_variant: bool = False) -> WordProb
     """Compile the intersection-emptiness question into an instance that is
     Equal exactly when the intersection is empty.
 
-    The group variant adds the completion transitions everywhere (making the
-    automaton a G-automaton) and constrains inputs to {0,1}* # 1^r # 1, the
-    shape on which the construction is meaningful.
+    Every gadget after the first # is a counter over positions 0..r+2 (see
+    the module docstring), written by chain. The group variant lets every
+    position read all three letters, which makes the automaton a
+    G-automaton, and constrains inputs to {0,1}* # 1^r # 1, the shape on
+    which the construction is meaningful.
     """
     r = d.r
     table = _Table("dfa-isect-group" if group_variant else "dfa-isect", ("0", "1", "#"))
     add = table.add
+
+    def chain(name: str, start: int = 0, swap: int = -1, only1: int = -1) -> None:
+        """Positions start..r+2 of counter name: each emits its letter, with
+        0 and 1 exchanged at swap, and moves on, the last to itself."""
+        for i in range(start, r + 3):
+            if group_variant:
+                letters = "01#"
+            elif i < r:
+                letters = "1" if i == only1 else "01"
+            else:
+                letters = ("#", "1", "")[i - r]
+            out = _SWAPPED if i == swap else _SAME
+            q, p = f"{name}_{i}", f"{name}_{i + (i < r + 2)}"
+            for a in letters:
+                add(q, a, out[a], p)
 
     # Conditional flipper: tracks whether the y-block is all ones, then
     # flips the trailing bit only when it is not.
     add("check", "0", "0", "check")
     add("check", "1", "1", "check")
     add("check", "#", "#", "all1_0")
+    chain("all1")
+    for i in range(r):
+        add(f"all1_{i}", "0", "0", f"has0_{i + 1}")
+    chain("has0", start=1, swap=r + 1)
     # Unconditional flipper.
     add("flip", "0", "0", "flip")
     add("flip", "1", "1", "flip")
     add("flip", "#", "#", "flip_0")
-    for i in range(r):
-        add(f"all1_{i}", "1", "1", f"all1_{i + 1}")
-        add(f"all1_{i}", "0", "0", f"has0_{i + 1}")
-        add(f"flip_{i}", "0", "0", f"flip_{i + 1}")
-        add(f"flip_{i}", "1", "1", f"flip_{i + 1}")
-        if i >= 1:
-            add(f"has0_{i}", "0", "0", f"has0_{i + 1}")
-            add(f"has0_{i}", "1", "1", f"has0_{i + 1}")
-        if group_variant:
-            add(f"all1_{i}", "#", "#", f"all1_{i + 1}")
-            add(f"flip_{i}", "#", "#", f"flip_{i + 1}")
-            if i >= 1:
-                add(f"has0_{i}", "#", "#", f"has0_{i + 1}")
-    # after the y-block: a # then the trailing bit
-    for chain in ("all1", "has0", "flip"):
-        add(f"{chain}_{r}", "#", "#", f"{chain}_{r + 1}")
-        if group_variant:
-            add(f"{chain}_{r}", "0", "0", f"{chain}_{r + 1}")
-            add(f"{chain}_{r}", "1", "1", f"{chain}_{r + 1}")
-    add(f"all1_{r + 1}", "1", "1", f"all1_{r + 2}")
-    add(f"has0_{r + 1}", "1", "0", f"has0_{r + 2}")
-    add(f"flip_{r + 1}", "1", "0", f"flip_{r + 2}")
-    if group_variant:
-        add(f"all1_{r + 1}", "0", "0", f"all1_{r + 2}")
-        add(f"all1_{r + 1}", "#", "#", f"all1_{r + 2}")
-        for chain in ("has0", "flip"):
-            add(f"{chain}_{r + 1}", "0", "1", f"{chain}_{r + 2}")
-            add(f"{chain}_{r + 1}", "#", "#", f"{chain}_{r + 2}")
-        for chain in ("all1", "has0", "flip"):
-            term = f"{chain}_{r + 2}"
-            for a in ("0", "1", "#"):
-                add(term, a, a, term)
+    chain("flip", swap=r + 1)
 
     # Per-DFA copies with identity outputs, bridging at # into the bit
     # gadget: a rejecting run must see its bit as 1 and switches it to 0, an
-    # accepting run checks the 1 and keeps it. States are named in sorted
-    # order, so the table's row order does not depend on string hashing.
-    for k, acc in enumerate(d.dfas, start=1):
-        for (q, a), p in sorted(_deterministic_steps(acc).items()):
+    # accepting run checks the 1 and keeps it. The step maps are sorted, so
+    # the table's row order does not depend on string hashing.
+    for k, (acc, steps) in enumerate(zip(d.dfas, d._steps), start=1):
+        for (q, a), p in steps.items():
             add(f"dfa{k}_{q}", a, a, f"dfa{k}_{p}")
         for q in sorted(acc.states):
             entry = f"kp{k}_0" if q in acc.final else f"sw{k}_0"
             add(f"dfa{k}_{q}", "#", "#", entry)
-        for kind in ("sw", "kp"):
-            for i in range(r):
-                src = f"{kind}{k}_{i}"
-                dst = f"{kind}{k}_{i + 1}"
-                if i == k - 1:
-                    if kind == "sw":
-                        add(src, "1", "0", dst)
-                        if group_variant:
-                            add(src, "0", "1", dst)
-                    else:
-                        add(src, "1", "1", dst)
-                        if group_variant:
-                            add(src, "0", "0", dst)
-                    if group_variant:
-                        add(src, "#", "#", dst)
-                else:
-                    add(src, "0", "0", dst)
-                    add(src, "1", "1", dst)
-                    if group_variant:
-                        add(src, "#", "#", dst)
-            add(f"{kind}{k}_{r}", "#", "#", f"{kind}{k}_{r + 1}")
-            add(f"{kind}{k}_{r + 1}", "1", "1", f"{kind}{k}_{r + 2}")
-            if group_variant:
-                add(f"{kind}{k}_{r}", "0", "0", f"{kind}{k}_{r + 1}")
-                add(f"{kind}{k}_{r}", "1", "1", f"{kind}{k}_{r + 1}")
-                add(f"{kind}{k}_{r + 1}", "0", "0", f"{kind}{k}_{r + 2}")
-                add(f"{kind}{k}_{r + 1}", "#", "#", f"{kind}{k}_{r + 2}")
-                term = f"{kind}{k}_{r + 2}"
-                for a in ("0", "1", "#"):
-                    add(term, a, a, term)
+        chain(f"sw{k}", swap=k - 1, only1=k - 1)
+        chain(f"kp{k}", only1=k - 1)
 
     aut = MealyAutomaton._of(table)
 
-    copies = [
-        f"dfa{k}_{next(iter(acc.initial))}"
-        for k, acc in reversed(list(enumerate(d.dfas, start=1)))
-    ]
-    lhs = StateSequence(["check"] + copies)
-    rhs = StateSequence(["flip"] + copies)
+    copies = [f"dfa{k}_{next(iter(acc.initial))}" for k, acc in enumerate(d.dfas, start=1)]
+    lhs = StateSequence(["check"] + copies[::-1])
+    rhs = StateSequence(["flip"] + copies[::-1])
 
     constraints = []
     if group_variant:
-        acc_trans = {("w0", "0", "w0"), ("w0", "1", "w0"), ("w0", "#", "b0")}
-        acc_states = {"w0", "acc"}
-        for i in range(r):
-            acc_trans.add((f"b{i}", "1", f"b{i + 1}"))
-            acc_states.add(f"b{i}")
-        acc_states.add(f"b{r}")
-        acc_trans.add((f"b{r}", "#", "c0"))
-        acc_states.add("c0")
-        acc_trans.add(("c0", "1", "acc"))
-        constraints.append(
-            Acceptor(
-                "tail-ones", ("0", "1", "#"), acc_states, acc_trans, ("w0",), ("acc",)
-            )
-        )
+        trans = [("w0", "0", "w0"), ("w0", "1", "w0"), ("w0", "#", "b0"), (f"b{r}", "#", "c0")]
+        trans += [(f"b{i}", "1", f"b{i + 1}") for i in range(r)] + [("c0", "1", "acc")]
+        states = {s for (q, _a, p) in trans for s in (q, p)}
+        constraints = [Acceptor("tail-ones", "01#", states, trans, ("w0",), ("acc",))]
     return WordProblemInstance(aut, lhs, rhs, constraints)
 
 
@@ -221,7 +177,7 @@ def reduce_dfa_emptiness(dfa: Acceptor) -> WordProblemInstance:
     """
     table = _Table("dfa-empty", ("0", "1"), sorted(dfa.states))
     for (q, a), p in _deterministic_steps(dfa).items():
-        table.add(q, a, a if q not in dfa.final else ("1" if a == "0" else "0"), p)
+        table.add(q, a, (_SWAPPED if q in dfa.final else _SAME)[a], p)
     aut = MealyAutomaton._of(table)
     initial = next(iter(dfa.initial))
     return WordProblemInstance(aut, StateSequence([initial]), StateSequence())

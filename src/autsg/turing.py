@@ -515,27 +515,18 @@ def structured_words_acceptor(
 ) -> Acceptor:
     """The constraint language of well-shaped words: one or more segments of
     exactly p_val cells with k-digit all-zero blocks, then $ 0^k $ 0."""
-    delta = delta_alphabet(tm)
-    sigma = sigma_alphabet(tm)
-    k = params.k
+    delta, k = delta_alphabet(tm), params.k
     width = params.p_val * (k + 1)
-    trans: set[tuple[str, str, str]] = set()
-    states = {f"c{m}" for m in range(width + 1)}
-    for m in range(width):
-        if m % (k + 1) == 0:
-            for g in delta:
-                trans.add((f"c{m}", g, f"c{m + 1}"))
-        else:
-            trans.add((f"c{m}", "0", f"c{m + 1}"))
-    trans.add((f"c{width}", "#", "c0"))
-    trans.add((f"c{width}", "$", "s0"))
-    for j in range(k):
-        states.add(f"s{j}")
-        trans.add((f"s{j}", "0", f"s{j + 1}"))
-    states.update({f"s{k}", "t0", "acc"})
-    trans.add((f"s{k}", "$", "t0"))
-    trans.add(("t0", "0", "acc"))
-    return Acceptor("structured", sigma, states, trans, ("c0",), ("acc",))
+    trans = [
+        (f"c{m}", g, f"c{m + 1}")
+        for m in range(width)
+        for g in (delta if m % (k + 1) == 0 else ("0",))
+    ]
+    trans += [(f"c{width}", "#", "c0"), (f"c{width}", "$", "s0")]
+    trans += [(f"s{j}", "0", f"s{j + 1}") for j in range(k)]
+    trans += [(f"s{k}", "$", "t0"), ("t0", "0", "acc")]
+    states = {s for (q, _a, p) in trans for s in (q, p)}
+    return Acceptor("structured", sigma_alphabet(tm), states, trans, ("c0",), ("acc",))
 
 
 def reduce_tm(tm: TuringMachineSpec, params: TmReductionParams) -> WordProblemInstance:

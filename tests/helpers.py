@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import autsg
 from autsg import (
+    Acceptor,
     Defined,
     MealyAutomaton,
     NotInverseDeterministic,
@@ -65,6 +67,15 @@ def S(*items) -> StateSequence:
         else:
             out.append(SignedState(it))
     return StateSequence(out)
+
+
+def random_dfa(rng: random.Random, name: str, max_states: int = 4) -> Acceptor:
+    """A complete DFA over {0,1} of one to max_states states."""
+    n = rng.randint(1, max_states)
+    states = [f"{name}s{i}" for i in range(n)]
+    trans = {(q, a, rng.choice(states)) for q in states for a in ("0", "1")}
+    finals = [q for q in states if rng.random() < 0.4]
+    return Acceptor(name, ("0", "1"), states, trans, (states[0],), finals)
 
 
 def rebuilt_with_add(automaton: MealyAutomaton) -> MealyAutomaton:

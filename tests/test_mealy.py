@@ -451,6 +451,19 @@ def test_token_errors_do_not_depend_on_string_hashing():
     assert stdout_under_hash_seeds(["-c", script]) == [expected] * 2
 
 
+def test_dual_names_the_same_bad_letter_under_every_hash_seed():
+    # the states become the dual's letters; none of them may begin with ~
+    script = (
+        "from autsg.mealy import MealyAutomaton, dual\n"
+        "try:\n"
+        "    dual(MealyAutomaton('m', ['0'], ['~c', '~b', '~a'], {}))\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+    )
+    expected = "letter token may not begin with '~': '~a'\n"
+    assert stdout_under_hash_seeds(["-c", script]) == [expected] * 2
+
+
 # ---------------------------------------------------------------- minimize
 
 

@@ -22,7 +22,7 @@ from autsg.reductions import (
     reduce_dfa_emptiness,
     reduce_dfa_intersection,
 )
-from helpers import W, assert_built_as_from_a_dict
+from helpers import W, assert_built_as_from_a_dict, random_dfa, stdout_under_hash_seeds
 
 
 def bit_dfa(name, states, initial, finals, edges):
@@ -107,14 +107,6 @@ def dfa_language_empty(acc: Acceptor) -> bool:
     return True
 
 
-def random_dfa(rng: random.Random, name: str, max_states: int = 4) -> Acceptor:
-    n = rng.randint(1, max_states)
-    states = [f"{name}s{i}" for i in range(n)]
-    trans = {(q, a, rng.choice(states)) for q in states for a in ("0", "1")}
-    finals = [q for q in states if rng.random() < 0.4]
-    return Acceptor(name, ("0", "1"), states, trans, (states[0],), finals)
-
-
 # -------------------------------------------------------------- validation
 
 
@@ -142,6 +134,29 @@ def test_dfalist_validation():
     )
     with pytest.raises(MalformedDfa):
         DfaList([two_initial])
+
+
+def test_malformed_dfa_messages_do_not_depend_on_string_hashing():
+    # the first pair in sorted order is the one named, whatever order a set
+    # would iterate the states or the transitions in
+    script = (
+        "from autsg import Acceptor, MalformedDfa\n"
+        "from autsg.reductions import DfaList\n"
+        "edges = [(q, a, p) for q in 'pq' for a in '01' for p in 'pq']\n"
+        "for make in (\n"
+        "    lambda: Acceptor('x', '01', 'pqrs', [], 'p', []),\n"
+        "    lambda: Acceptor('y', '01', 'pq', edges, 'p', []),\n"
+        "):\n"
+        "    try:\n"
+        "        DfaList([make()])\n"
+        "    except MalformedDfa as exc:\n"
+        "        print(exc)\n"
+    )
+    expected = (
+        "x: missing transition on ('p', '0')\n"
+        "y: nondeterministic on ('p', '0')\n"
+    )
+    assert stdout_under_hash_seeds(["-c", script]) == [expected] * 2
 
 
 def test_dfalist_metrics():
@@ -231,6 +246,8 @@ def test_intersection_matches_oracle_on_random_inputs():
             got = decide(inst)
             assert (got.kind == EQUAL) == want_equal, (trial, group)
             assert_built_as_from_a_dict(inst)
+            p = check_properties(inst.automaton)
+            assert p.is_g_automaton if group else p.is_s_bar_automaton, (trial, group)
 
 
 # -------------------------------------------------------------- emptiness

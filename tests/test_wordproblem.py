@@ -37,7 +37,8 @@ from autsg import (
     union,
 )
 from autsg.mealy import BOTTOM_LETTER
-from helpers import S, W, rename_states
+from autsg.reductions import DfaList, reduce_dfa_emptiness, reduce_dfa_intersection
+from helpers import S, W, random_dfa, rename_states
 
 ADDING = build_gadget("adding")
 FREE_PARTIAL = build_gadget("free-partial")
@@ -352,6 +353,27 @@ def test_decide_is_unchanged_by_transforms_that_keep_the_actions(seed, data):
 
     assert _answer(got)[:2] == want[:2]
     assert (undefined(got.lhs_value), undefined(got.rhs_value)) == want[2:]
+
+
+def _inverse(items: list[SignedState]) -> list[SignedState]:
+    return [SignedState(i.base, not i.inverted) for i in reversed(items)]
+
+
+def test_a_sequence_times_its_inverse_is_the_identity_on_g_automata():
+    rng = random.Random(1212)
+    automata = [ADDING]
+    for trial in range(6):
+        dfas = DfaList([random_dfa(rng, f"m{trial}d{k}") for k in range(rng.randint(1, 3))])
+        automata.append(reduce_dfa_intersection(dfas, group_variant=True).automaton)
+        automata.append(reduce_dfa_emptiness(random_dfa(rng, f"m{trial}e")).automaton)
+    for aut in automata:
+        assert check_properties(aut).is_g_automaton, aut.name
+        states = sorted(aut.states)
+        for _ in range(5):
+            u = [SignedState(rng.choice(states), rng.random() < 0.5)
+                 for _ in range(rng.randint(1, 3))]
+            for seq in (u + _inverse(u), _inverse(u) + u):
+                assert decide(WordProblemInstance(aut, seq, [])).kind == EQUAL, (aut.name, seq)
 
 
 # q's own outputs differ, but q reaches p, which emits a on both letters:
