@@ -158,14 +158,15 @@ def reduce_dfa_intersection(d: DfaList, group_variant: bool = False) -> WordProb
     copies = [f"dfa{k}_{next(iter(acc.initial))}" for k, acc in enumerate(d.dfas, start=1)]
     lhs = StateSequence(["check"] + copies[::-1])
     rhs = StateSequence(["flip"] + copies[::-1])
+    return WordProblemInstance(aut, lhs, rhs, [_tail_ones(r)] if group_variant else [])
 
-    constraints = []
-    if group_variant:
-        trans = [("w0", "0", "w0"), ("w0", "1", "w0"), ("w0", "#", "b0"), (f"b{r}", "#", "c0")]
-        trans += [(f"b{i}", "1", f"b{i + 1}") for i in range(r)] + [("c0", "1", "acc")]
-        states = {s for (q, _a, p) in trans for s in (q, p)}
-        constraints = [Acceptor("tail-ones", "01#", states, trans, ("w0",), ("acc",))]
-    return WordProblemInstance(aut, lhs, rhs, constraints)
+
+def _tail_ones(r: int) -> Acceptor:
+    """The group variant's constraint language {0,1}* # 1^r # 1."""
+    trans = [("w0", "0", "w0"), ("w0", "1", "w0"), ("w0", "#", "b0"), (f"b{r}", "#", "c0")]
+    trans += [(f"b{i}", "1", f"b{i + 1}") for i in range(r)] + [("c0", "1", "acc")]
+    states = {s for (q, _a, p) in trans for s in (q, p)}
+    return Acceptor("tail-ones", "01#", states, trans, ("w0",), ("acc",))
 
 
 def reduce_dfa_emptiness(dfa: Acceptor) -> WordProblemInstance:
