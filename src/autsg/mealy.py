@@ -16,10 +16,12 @@ per letter, the index of the output letter and of the next state. The
 table is also the one builder: the constructor writes the transitions dict
 it is given into a table and keeps no dict, while the reductions
 (build_tm_automaton, reduce_dfa_intersection, reduce_dfa_emptiness) and
-minimize fill a table directly, cell by cell with _Table.add or row by
-row, and wrap it with MealyAutomaton._of. Either way the read-only
-transitions are derived from the table on first read (their length is
-counted off the table), and check_properties and minimize read the table.
+minimize fill a table directly: cell by cell with _Table.add, the cells
+that pass their letter on with _Table.route (build_tm_automaton's suffix
+reader tail is two routes and an add), or row by row, and wrap it with
+MealyAutomaton._of. Either way the read-only transitions are derived from
+the table on first read (their length is counted off the table), and
+check_properties and minimize read the table.
 
 This module owns the two stepping kernels the rest of the package uses:
 _thread, how a sequence of signed states consumes one letter, on signed
@@ -246,7 +248,7 @@ class MealyAutomaton:
         return (
             self.alphabet == other.alphabet
             and self.states == other.states
-            and self.transitions == other.transitions
+            and self.transitions.items() == other.transitions.items()
         )
 
     @cached_property
@@ -319,7 +321,9 @@ class Acceptor:
         object.__setattr__(self, "initial", initial)
         object.__setattr__(self, "final", final)
 
-    def step_map(self) -> dict[tuple[State, Letter], set[State]]:
+    @cached_property
+    def _steps(self) -> dict[tuple[State, Letter], set[State]]:
+        """Per (state, letter), the states it steps to; built on first read."""
         m: dict[tuple[State, Letter], set[State]] = {}
         for (q, a, p) in self.transitions:
             m.setdefault((q, a), set()).add(p)
@@ -331,7 +335,7 @@ def _subset_step(
     subset: Iterable[State],
     letter: Letter,
 ) -> frozenset[State]:
-    """The subset-construction step over an Acceptor.step_map(): every state
+    """The subset-construction step over an Acceptor's _steps: every state
     some member of subset reaches on letter."""
     nxt: set[State] = set()
     for q in subset:
@@ -340,10 +344,9 @@ def _subset_step(
 
 
 def acceptor_accepts(acc: Acceptor, word: Iterable[Letter] | str) -> bool:
-    step_map = acc.step_map()
-    cur = acc.initial
+    steps, cur = acc._steps, acc.initial
     for a in word:
-        cur = _subset_step(step_map, cur, a)
+        cur = _subset_step(steps, cur, a)
         if not cur:
             return False
     return bool(cur & acc.final)
@@ -407,11 +410,18 @@ class _Table:
         self.state_index = {q: i for i, q in enumerate(self.states)}
 
     def add(self, q: State, a: Letter, b: Letter, p: State) -> None:
-        """Write one cell: q emits b on a and moves to p."""
+        """Write one cell: q emits b on a and moves to p. A later write to
+        the same cell replaces this one, so a builder may route every letter
+        of a row one way and then re-route a few."""
         si, li = self.state_index, self.letter_index
         k = (si[q] if q in si else self._new_row(q)) * self.width + li[a]
         self.outs[k] = li[b]
         self.targets[k] = si[p] if p in si else self._new_row(p)
+
+    def route(self, q: State, letters: Iterable[Letter], p: State) -> None:
+        """Write one identity cell per letter: q emits it unchanged and moves to p."""
+        for a in letters:
+            self.add(q, a, a, p)
 
     def _new_row(self, q: State) -> int:
         """The index of the next row, given to the new state q, undefined."""

@@ -108,7 +108,7 @@ def reduce_dfa_intersection(d: DfaList, group_variant: bool = False) -> WordProb
     """
     r = d.r
     table = _Table("dfa-isect-group" if group_variant else "dfa-isect", ("0", "1", "#"))
-    add = table.add
+    add, route = table.add, table.route
 
     def chain(name: str, start: int = 0, swap: int = -1, only1: int = -1) -> None:
         """Positions start..r+2 of counter name: each emits its letter, with
@@ -127,17 +127,15 @@ def reduce_dfa_intersection(d: DfaList, group_variant: bool = False) -> WordProb
 
     # Conditional flipper: tracks whether the y-block is all ones, then
     # flips the trailing bit only when it is not.
-    add("check", "0", "0", "check")
-    add("check", "1", "1", "check")
-    add("check", "#", "#", "all1_0")
+    route("check", "01", "check")
+    route("check", "#", "all1_0")
     chain("all1")
     for i in range(r):
         add(f"all1_{i}", "0", "0", f"has0_{i + 1}")
     chain("has0", start=1, swap=r + 1)
     # Unconditional flipper.
-    add("flip", "0", "0", "flip")
-    add("flip", "1", "1", "flip")
-    add("flip", "#", "#", "flip_0")
+    route("flip", "01", "flip")
+    route("flip", "#", "flip_0")
     chain("flip", swap=r + 1)
 
     # Per-DFA copies with identity outputs, bridging at # into the bit

@@ -335,145 +335,112 @@ def checker_family_size(n_delta: int) -> int:
 def build_tm_automaton(tm: TuringMachineSpec, params: TmReductionParams) -> MealyAutomaton:
     """The full reduction automaton over sigma = Delta + {0,1,#,$}, the
     whole checker family included, unreachable states too (minimize gives
-    its Moore quotient). add fills one _Table, a row per state in the order
-    states are first named, and MealyAutomaton._of wraps it, so its
-    transitions dict is derived only if it is read. The group variant is
-    completed on the table and must pass the G-automaton check on it;
-    failure raises NotGAutomaton."""
+    its Moore quotient). One _Table gets a row per state in the order states
+    are first named; route fills the cells that pass their letter on, add
+    the counter digits and the rest, tail each suffix reader 0^k $ 0.
+    MealyAutomaton._of wraps it, so its transitions dict is derived only if
+    read. The group variant is completed on the table and must pass the
+    G-automaton check on it; failure raises NotGAutomaton."""
     delta = delta_alphabet(tm)
     sigma = sigma_alphabet(tm)
     group = params.group_variant
     tau = derive_tau(tm)
     table = _Table(f"tm-{tm.name}-group" if group else f"tm-{tm.name}", sigma)
-    add = table.add
+    add, route = table.add, table.route
+
+    def tail(q: str, digits: str, r: str, end: str, bit: str = "0") -> None:
+        """q reads digits to itself and $ to r; r emits bit on 0, to end."""
+        route(q, digits, q)
+        route(q, "$", r)
+        add(r, "0", bit, end)
 
     # --- check-marking: increment blocks up to the first all-zero one
-    for g in delta:
-        add("mark", g, g, "mark_inc")
-        add("mark_new", g, g, "mark_skip")
-        add("mark_old", g, g, "mark_inc")
+    route("mark", delta, "mark_inc")
+    route("mark_new", delta, "mark_skip")
+    route("mark_old", delta, "mark_inc")
     add("mark_inc", "0", "1", "mark_new")
     add("mark_inc", "1", "0", "mark_carry")
-    add("mark_new", "0", "0", "mark_new")
-    add("mark_new", "1", "1", "mark_old")
-    add("mark_new", "#", "#", "mark")
-    add("mark_new", "$", "$", "mark_end")
-    add("mark_old", "0", "0", "mark_old")
-    add("mark_old", "1", "1", "mark_old")
+    route("mark_new", "0", "mark_new")
+    route("mark_new", "1", "mark_old")
+    route("mark_new", "#", "mark")
+    route("mark_new", "$", "mark_end")
+    route("mark_old", "01", "mark_old")
     add("mark_carry", "1", "0", "mark_carry")
     add("mark_carry", "0", "1", "mark_old")
-    for x in delta + ("0", "1"):
-        add("mark_skip", x, x, "mark_skip")
-    add("mark_skip", "#", "#", "mark")
-    add("mark_skip", "$", "$", "mark_end")
-    for x in ("0", "1", "$"):
-        add("mark_end", x, x, "mark_end")
+    route("mark_skip", delta + ("0", "1"), "mark_skip")
+    route("mark_skip", "#", "mark")
+    route("mark_skip", "$", "mark_end")
+    route("mark_end", "01$", "mark_end")
 
     # --- checkers
     lowers = [None, *delta]
     blank = tm.blank
     for window in itertools.product(delta, repeat=3):
         sk = _skip_name(window)
-        for x in delta + ("0", "1"):
-            add(sk, x, x, sk)
-        add(sk, "#", "#", _chk(1, window, (None, None)))
-        add(sk, "$", "$", "d1")
+        route(sk, delta + ("0", "1"), sk)
+        route(sk, "#", checker_entry(window))
+        route(sk, "$", "d1")
+        evolved = tau.get(window)
         chk0 = {(l1, l2): _chk(0, window, (l1, l2)) for l1 in lowers for l2 in lowers}
         for l1 in lowers:
             for l2 in lowers:
                 c0 = chk0[l1, l2]
                 c1 = _chk(1, window, (l1, l2))
-                add(c0, "0", "0", c0)
-                add(c0, "1", "1", c1)
-                add(c1, "0", "0", c1)
-                add(c1, "1", "1", c1)
+                route(c0, "0", c0)
+                route(c0, "1", c1)
+                route(c1, "01", c1)
                 for g in delta:
                     add(c1, g, g, chk0[l2, g])
                 # the first unmarked cell has been located: its symbol is
                 # l2, which must match the stored window's evolution
-                if l2 is not None and tau.get(window) == l2:
+                if l2 is not None and evolved == l2:
                     left = l1 if l1 is not None else blank
                     for g in delta:
                         add(c0, g, g, _skip_name((left, l2, g)))
-                    add(c0, "#", "#", _chk(1, (left, l2, blank), (None, None)))
-                    add(c0, "$", "$", "d1")
+                    route(c0, "#", checker_entry((left, l2, blank)))
+                    route(c0, "$", "d1")
                 elif group:
-                    for g in delta:
-                        add(c0, g, g, FAIL_ENTRY)
-                    add(c0, "#", "#", FAIL_ENTRY)
-                    add(c0, "$", "$", "bump1")
-    add("d1", "0", "0", "d1")
-    add("d1", "1", "1", "d1")
-    add("d1", "$", "$", "d2")
-    add("d2", "0", "0", "d3")
+                    route(c0, delta + ("#",), FAIL_ENTRY)
+                    route(c0, "$", "bump1")
+    tail("d1", "01", "d2", "d3")
 
     # --- q_c: virgin shape, every digit a 0
-    for g in delta:
-        add("form0", g, g, "form1")
-        add("form1", g, g, "form1")
-    add("form1", "0", "0", "form1")
-    add("form1", "#", "#", "form0")
-    add("form1", "$", "$", "form2")
-    add("form2", "0", "0", "form2")
-    add("form2", "$", "$", "form3")
-    add("form3", "0", "0", "form4")
+    route("form0", delta, "form1")
+    route("form1", delta, "form1")
+    route("form1", "0", "form1")
+    route("form1", "#", "form0")
+    route("form1", "$", "form2")
+    tail("form2", "0", "form3", "form4")
 
     # --- q_l: every block marked
-    for g in delta:
-        add("full0", g, g, "full1")
-        add("full2", g, g, "full1")
-    add("full1", "0", "0", "full1")
-    add("full1", "1", "1", "full2")
-    add("full2", "0", "0", "full2")
-    add("full2", "1", "1", "full2")
-    add("full2", "#", "#", "full0")
-    add("full2", "$", "$", "full3")
-    add("full3", "0", "0", "full3")
-    add("full3", "1", "1", "full3")
-    add("full3", "$", "$", "full4")
-    add("full4", "0", "0", "full5")
+    route("full0", delta, "full1")
+    route("full2", delta, "full1")
+    route("full1", "0", "full1")
+    route("full1", "1", "full2")
+    route("full2", "01", "full2")
+    route("full2", "#", "full0")
+    route("full2", "$", "full3")
+    tail("full3", "01", "full4", "full5")
 
     # --- e: the toggle
-    final_heads = {
-        head_token(g, z) for g in tm.tape_alphabet for z in tm.finals
-    }
-    for x in sigma:
-        if x == "$":
-            add("probe0", x, x, "probe1")
-        elif x in final_heads:
-            add("probe0", x, x, "probe4")
-        else:
-            add("probe0", x, x, "probe0")
-    add("probe1", "0", "0", "probe1")
-    add("probe1", "$", "$", "probe2")
-    add("probe2", "0", "0", "probe3")
-    for x in sigma:
-        if x == "$":
-            add("probe4", x, x, "probe5")
-        else:
-            add("probe4", x, x, "probe4")
-    add("probe5", "0", "0", "probe5")
-    add("probe5", "1", "1", "probe_dead")
-    add("probe5", "$", "$", "probe6")
-    add("probe6", "0", "1", "probe7")
-    for x in sigma:
-        add("probe_dead", x, x, "probe_dead")
+    route("probe0", sigma, "probe0")
+    route("probe0", "$", "probe1")
+    route("probe0", [head_token(g, z) for g in tm.tape_alphabet for z in tm.finals], "probe4")
+    tail("probe1", "0", "probe2", "probe3")
+    route("probe4", sigma, "probe4")
+    route("probe4", "$", "probe5")
+    tail("probe5", "0", "probe6", "probe7", bit="1")
+    route("probe5", "1", "probe_dead")
+    route("probe_dead", sigma, "probe_dead")
 
     if group:
         # --- f: skip to the counter block and increment it once
-        for x in sigma:
-            if x == "$":
-                add(FAIL_ENTRY, x, x, "bump1")
-            else:
-                add(FAIL_ENTRY, x, x, FAIL_ENTRY)
+        route(FAIL_ENTRY, sigma, FAIL_ENTRY)
+        route(FAIL_ENTRY, "$", "bump1")
         add("bump1", "1", "0", "bump1")
         add("bump1", "0", "1", "bump2")
-        add("bump2", "0", "0", "bump2")
-        add("bump2", "1", "1", "bump2")
-        add("bump2", "$", "$", "bump3")
-        add("bump3", "0", "0", "bump4")
-        for x in sigma:
-            add(SINK_STATE, x, x, SINK_STATE)
+        tail("bump2", "01", "bump3", "bump4")
+        route(SINK_STATE, sigma, SINK_STATE)
         _complete_rows(table, table.state_index[SINK_STATE])
         _check_group_rows(table)
     return MealyAutomaton._of(table)

@@ -171,7 +171,7 @@ def _search(
 ) -> Verdict:
     table = inst.automaton._table
     accs = inst.constraints
-    step_maps = [acc.step_map() for acc in accs]
+    step_maps = [acc._steps for acc in accs]
     finals = [acc.final for acc in accs]
     init = (
         tuple(map(table.signed, inst.lhs)),

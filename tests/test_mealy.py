@@ -8,6 +8,8 @@ by the binary-increment reading) and frozen here.
 from __future__ import annotations
 
 import random
+import sys
+import tracemalloc
 from dataclasses import fields
 
 import pytest
@@ -539,6 +541,47 @@ def test_row_validation():
     for name, states, bad in (("x", ["q r", "p"], "'q r'"), ("x y", ["q", "p"], "'x y'")):
         with pytest.raises(ValueError, match=f"state name may not contain whitespace: {bad}"):
             MealyAutomaton._of(_Table(name, "ab", states))
+
+
+def test_route_writes_identity_cells():
+    # one cell per letter, each emitting its letter; a target named for the
+    # first time gets the next row, undefined; a later write to a cell
+    # replaces the earlier one, which build_tm_automaton's re-routing of
+    # probe0, probe4 and bump0 relies on
+    table = _Table("x", "ab#", ["q"])
+    table.route("q", "#ab", "q")
+    assert (table.letters, table.outs, table.targets) == (["#", "a", "b"], [0, 1, 2], [0, 0, 0])
+    table.route("q", "#", "p")
+    assert table.states == ["q", "p"]
+    assert (table.outs, table.targets) == ([0, 1, 2, -1, -1, -1], [1, 0, 0, 0, 0, 0])
+    table.route("q", "ab", "p")
+    assert (table.outs, table.targets) == ([0, 1, 2, -1, -1, -1], [1, 1, 1, 0, 0, 0])
+    routed = {("q", a): (a, "p") for a in "ab#"}
+    assert MealyAutomaton._of(table) == MealyAutomaton("x", "ab#", "qp", routed)
+
+
+def test_equality_copies_no_transitions():
+    # same_structure, and with it ==, compares the derived transitions in
+    # place; Mapping.__eq__ would copy both into dicts first
+    def build():
+        states = [f"q{i}" for i in range(1000)]
+        trans = {
+            (q, a): (b, states[(7 * i + j) % 1000])
+            for i, q in enumerate(states)
+            for j, (a, b) in enumerate((("0", "1"), ("1", "0")))
+        }
+        return MealyAutomaton("m", "01", states, trans)
+
+    a, b = build(), build()
+    size = sys.getsizeof(a.transitions.copy())  # derives a's dict
+    assert b.transitions["q0", "0"] == ("1", "q0")  # and b's
+    tracemalloc.start()
+    try:
+        assert a == b and a.same_structure(b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < size // 10
 
 
 # ------------------------------------------------------------ property style

@@ -431,6 +431,43 @@ def test_reduce_tm_builds_as_from_a_dict(group):
     assert decide(inst).kind == NOT_EQUAL
 
 
+@pytest.mark.parametrize("group", [False, True], ids=["inverse", "group"])
+@pytest.mark.parametrize("tm,inp", [(SCANNER, ("a", "a")), (LOOPER, ())], ids=["scan", "looper"])
+def test_quotient_agrees_with_the_literal_automaton_on_the_sweep(tm, inp, group):
+    # criterion 7's agreement sweep, on the quotient: every one-segment
+    # word, and for the Looper inverse-semigroup instance every two-segment
+    # word, resumed from its # prefix, acts on each side of the quotient as
+    # on the literal side, states renamed through class_of
+    params = TmReductionParams(p_val=3, input_word=inp, group_variant=group)
+    inst = reduce_tm(tm, params)
+    literal = inst.automaton
+    quotient, class_of = minimize(literal)
+    k = params.k
+    suffix = ("$",) + ("0",) * k + ("$", "0")
+    segments = [
+        tuple(x for c in cells for x in (c,) + ("0",) * k)
+        for cells in itertools.product(delta_alphabet(tm), repeat=3)
+    ]
+    defined = 0
+    for side in (inst.lhs, inst.rhs):
+        classes = [class_of[s.base] for s in side]
+        for seg in segments:
+            full = act_word(literal, side, seg + suffix)
+            assert act_word(quotient, classes, seg + suffix) == renamed(full, class_of)
+            defined += isinstance(full, Defined)
+            if tm is not LOOPER or group:
+                continue
+            pre = act_word(literal, side, seg + ("#",))
+            qpre = act_word(quotient, classes, seg + ("#",))
+            assert qpre == renamed(pre, class_of)
+            if isinstance(pre, Defined):
+                for seg2 in segments:
+                    tail = act_word(literal, pre.final, seg2 + suffix)
+                    assert act_word(quotient, qpre.final, seg2 + suffix) == renamed(tail, class_of)
+                    defined += isinstance(tail, Defined)
+    assert defined > 0
+
+
 def _one_segment_words(tm, params):
     k = params.k
     for cells in itertools.product(delta_alphabet(tm), repeat=params.p_val):
