@@ -49,6 +49,36 @@ SCANNER = TuringMachineSpec(
 # One blank, one state, accepting at once: a 155-state reduction automaton.
 TINY = TuringMachineSpec("tiny", ["_"], "_", ["z"], "z", ["z"], {})
 
+# Cell alphabets Delta of 3, 4 and 5 tokens (plain symbols plus one head
+# token per symbol and state), where Scanner and Looper both have 6: an
+# index into the checker family that depends on |Delta| shows at these.
+FLIP = TuringMachineSpec(
+    "flip", ["_"], "_", ["z0", "z1"], "z0", ["z1"], {("z0", "_"): ("_", "z1", "N")}
+)
+SWAP = TuringMachineSpec(
+    "swap",
+    ["_", "a"],
+    "_",
+    ["z"],
+    "z",
+    [],
+    {("z", "a"): ("_", "z", "R"), ("z", "_"): ("a", "z", "L")},
+)
+COUNT = TuringMachineSpec(
+    "count",
+    ["_"],
+    "_",
+    ["z0", "z1", "z2", "z3"],
+    "z0",
+    ["z3"],
+    {
+        ("z0", "_"): ("_", "z1", "R"),
+        ("z1", "_"): ("_", "z2", "L"),
+        ("z2", "_"): ("_", "z3", "N"),
+    },
+)
+SMALL_DELTA_MACHINES = (FLIP, SWAP, COUNT)
+
 
 def W(s: str) -> tuple[str, ...]:
     """Word shorthand for single-character alphabets: W("010") == ("0","1","0")."""

@@ -15,7 +15,7 @@ import tempfile
 from contextlib import redirect_stdout
 from pathlib import Path
 
-from helpers import LOOPER, SCANNER, stdout_under_hash_seeds
+from helpers import LOOPER, SCANNER, SMALL_DELTA_MACHINES, stdout_under_hash_seeds
 
 from autsg.cli import run
 from autsg.mealy import Acceptor
@@ -40,6 +40,18 @@ GOLDEN = {
         "f08c260fcae8fa3c576fae23b775dddfc13ed9f6b48f3dbacd973a6accfeb703",
     "build_tm_automaton looper group":
         "c5b526e7bf86d5460944b62df7cef5d4441a93da5cf11495bff05af63fc69092",
+    "build_tm_automaton flip inverse":
+        "61f3c5183da91a71dd8c1e03375be840b5efa5be45872a6b79bb9cbf87231352",
+    "build_tm_automaton flip group":
+        "82c8749a025915e8516d485258dd63b1d1f45c71db9a6c0f795d373c285a6037",
+    "build_tm_automaton swap inverse":
+        "acabb32cd564163ba13b7c55a1db4c7be3ec48f4a5dca05e7afc20c7e6be879b",
+    "build_tm_automaton swap group":
+        "3219c4efaf7e594c3de49182da19ec49090444f01e5260ccc8bee7892b14dc62",
+    "build_tm_automaton count inverse":
+        "58c63aba5fbcb5158aacdfb7ff68116403bc6d1ebb9727bdf7ca1d6874aa0c0f",
+    "build_tm_automaton count group":
+        "d235b2f56805c8573f0833359b684cd8296e19f293f42a5fa5572cae85a4c0f7",
     "reduce_dfa_intersection corpus":
         "224cfe97f460bffafd7423df011687339b85e9bb74d7a446157b766e0be8bf32",
 }
@@ -76,7 +88,9 @@ def digests() -> dict[str, str]:
     for tm, argv in ((SCANNER, ["--input", "a", "a"]), (LOOPER, [])):
         out[f"reduce tm {tm.name} inverse"] = _sha256(_reduce_tm(tm, argv))
         out[f"reduce tm {tm.name} group"] = _sha256(_reduce_tm(tm, argv + ["--group"]))
-    for tm, word in ((SCANNER, ("a", "a")), (LOOPER, ())):
+    builds = [(SCANNER, ("a", "a")), (LOOPER, ())]
+    builds += [(tm, ()) for tm in SMALL_DELTA_MACHINES]
+    for tm, word in builds:
         for variant, group in (("inverse", False), ("group", True)):
             params = TmReductionParams(p_val=3, input_word=word, group_variant=group)
             text = serialize_automaton(build_tm_automaton(tm, params))

@@ -42,7 +42,7 @@ from autsg.turing import (
 )
 from autsg.wordproblem import NOT_EQUAL, WordProblemInstance, decide
 
-from helpers import TINY, assert_built_as_from_a_dict, renamed
+from helpers import SMALL_DELTA_MACHINES, TINY, assert_built_as_from_a_dict, renamed
 
 # Accepts immediately, regardless of input.
 ACCEPT_NOW = TuringMachineSpec(
@@ -252,6 +252,13 @@ def test_state_counts():
     assert checker_family_size(6) == 21387
     assert len(AUT_LOOP.states) == 21387 + 7 + 5 + 6 + 9
     assert len(AUT_ACC_G.states) == 21387 + 7 + 5 + 6 + 9 + 6
+    # the checker family plus the 27 mark, form, full and probe states, and
+    # in the group variant bump0-bump4 and the sink
+    for tm, n_delta in zip(SMALL_DELTA_MACHINES, (3, 4, 5)):
+        assert len(delta_alphabet(tm)) == n_delta
+        for group in (False, True):
+            aut = build_tm_automaton(tm, TmReductionParams(p_val=3, group_variant=group))
+            assert len(aut.states) == checker_family_size(n_delta) + 27 + 6 * group
 
 
 def test_inverse_variant_class():
