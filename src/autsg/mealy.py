@@ -17,11 +17,11 @@ table is also the one builder: the constructor writes the transitions dict
 it is given into a table and keeps no dict, while the reductions
 (build_tm_automaton, reduce_dfa_intersection, reduce_dfa_emptiness) and
 minimize fill a table directly: cell by cell with _Table.add, the cells
-that pass their letter on with _Table.route (build_tm_automaton's suffix
-reader tail is two routes and an add), or row by row, and wrap it with
-MealyAutomaton._of. Either way the read-only transitions are derived from
-the table on first read (their length is counted off the table), and
-check_properties and minimize read the table.
+that pass their letter on with _Table.route, or in whole rows, as slices
+of a block of rows _Table.block reserves (build_tm_automaton's checker
+family), and wrap it with MealyAutomaton._of. Either way the read-only
+transitions are derived from the table on first read (their length is
+counted off the table), and check_properties and minimize read the table.
 
 This module owns the two stepping kernels the rest of the package uses:
 _thread, how a sequence of signed states consumes one letter, on signed
@@ -391,9 +391,9 @@ class _Table:
     (-1 where undefined) and of the next state (0 where undefined).
 
     A table is filled before an automaton wraps it (MealyAutomaton._of):
-    the states it is given get the first rows, undefined, and add writes one
-    cell, giving a state named for the first time the next row. Row indices
-    come only from state_index, so every cell is in range.
+    the states it is given, and those block reserves, get undefined rows,
+    and add writes one cell, giving a state named for the first time the
+    next row. Row indices come only from state_index, so every cell is in range.
 
     Actions step signed states: 2*i is state i, 2*i + 1 its inverse.
     rows, set when the table is wrapped, holds per signed state s None until
@@ -402,12 +402,28 @@ class _Table:
     candidate transitions."""
 
     def __init__(self, name: str, letters: Iterable[Letter], states: Iterable[State] = ()):
-        self.name, self.letters, self.states = name, sorted(letters), list(states)
+        self.name, self.letters = name, sorted(letters)
         self.width = len(self.letters)
-        cells = len(self.states) * self.width
-        self.outs, self.targets = [-1] * cells, [0] * cells
         self.letter_index = {a: j for j, a in enumerate(self.letters)}
-        self.state_index = {q: i for i, q in enumerate(self.states)}
+        self.states, self.outs, self.targets, self.state_index = [], [], [], {}
+        self.block(states)
+
+    def block(self, names: Iterable[State]) -> list[int]:
+        """Reserve the next rows, undefined, for the new states names, in
+        order, and return their indices: the int objects state_index holds,
+        so targets stored from the list share them. Raises ValueError
+        naming the first name already in the table or repeated in names."""
+        names, start, si = list(names), len(self.states), self.state_index
+        index = dict(zip(names, range(start, start + len(names))))
+        if len(index) < len(names) or not si.keys().isdisjoint(index):
+            q = next(q for i, q in enumerate(names, start) if q in si or index[q] != i)
+            raise ValueError(f"state {q!r} is named twice in table {self.name}")
+        si.update(index)
+        self.states += names
+        cells = len(names) * self.width
+        self.outs += [-1] * cells
+        self.targets += [0] * cells
+        return list(index.values())
 
     def add(self, q: State, a: Letter, b: Letter, p: State) -> None:
         """Write one cell: q emits b on a and moves to p. A later write to

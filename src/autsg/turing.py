@@ -15,7 +15,8 @@ The compiled automaton's states implement, per sequence item:
 * checker states that locate the first unmarked cell of each segment,
   verify its symbol evolves by the local transition map tau from the window
   remembered out of the previous segment, and carry the new window across
-  the segment boundary (the missing neighbours at the borders are blanks);
+  the segment boundary (the missing neighbours at the borders are blanks),
+  built as blocks of whole rows indexed by arithmetic on (window, l1, l2);
 * a shape checker for the virgin input form (q_c) and an all-marked checker
   (q_l) used by the inverse-semigroup instance;
 * a final-state prober e that toggles the single trailing digit exactly
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -317,15 +319,6 @@ def checker_entry(window: Iterable[str]) -> str:
     return f"chk1|{x}|{y}|{z}||"
 
 
-def _chk(tag: int, window: tuple[str, str, str], lower) -> str:
-    l1, l2 = lower
-    return f"chk{tag}|{window[0]}|{window[1]}|{window[2]}|{l1 or ''}|{l2 or ''}"
-
-
-def _skip_name(window: tuple[str, str, str]) -> str:
-    return f"skipc|{window[0]}|{window[1]}|{window[2]}"
-
-
 def checker_family_size(n_delta: int) -> int:
     """Number of checker states the construction makes: both tags over
     window times lower-pair, the skip family, and the d1/d2/d3 tail."""
@@ -335,16 +328,14 @@ def checker_family_size(n_delta: int) -> int:
 def build_tm_automaton(tm: TuringMachineSpec, params: TmReductionParams) -> MealyAutomaton:
     """The full reduction automaton over sigma = Delta + {0,1,#,$}, the
     whole checker family included, unreachable states too (minimize gives
-    its Moore quotient). One _Table gets a row per state in the order states
-    are first named; route fills the cells that pass their letter on, add
-    the counter digits and the rest, tail each suffix reader 0^k $ 0.
-    MealyAutomaton._of wraps it, so its transitions dict is derived only if
-    read. The group variant is completed on the table and must pass the
-    G-automaton check on it; failure raises NotGAutomaton."""
-    delta = delta_alphabet(tm)
-    sigma = sigma_alphabet(tm)
-    group = params.group_variant
-    tau = derive_tau(tm)
+    its Moore quotient). One _Table holds it: the few dozen other states
+    first, a row each as named (route fills pass-through cells, add the
+    counter digits, tail each suffix reader 0^k $ 0), then the checker
+    family as row blocks (_write_checkers). MealyAutomaton._of wraps it, so
+    its transitions dict is derived only if read. The group variant is
+    completed on the table and must pass the G-automaton check on it;
+    failure raises NotGAutomaton."""
+    delta, sigma, group = delta_alphabet(tm), sigma_alphabet(tm), params.group_variant
     table = _Table(f"tm-{tm.name}-group" if group else f"tm-{tm.name}", sigma)
     add, route = table.add, table.route
 
@@ -371,38 +362,6 @@ def build_tm_automaton(tm: TuringMachineSpec, params: TmReductionParams) -> Meal
     route("mark_skip", "#", "mark")
     route("mark_skip", "$", "mark_end")
     route("mark_end", "01$", "mark_end")
-
-    # --- checkers
-    lowers = [None, *delta]
-    blank = tm.blank
-    for window in itertools.product(delta, repeat=3):
-        sk = _skip_name(window)
-        route(sk, delta + ("0", "1"), sk)
-        route(sk, "#", checker_entry(window))
-        route(sk, "$", "d1")
-        evolved = tau.get(window)
-        chk0 = {(l1, l2): _chk(0, window, (l1, l2)) for l1 in lowers for l2 in lowers}
-        for l1 in lowers:
-            for l2 in lowers:
-                c0 = chk0[l1, l2]
-                c1 = _chk(1, window, (l1, l2))
-                route(c0, "0", c0)
-                route(c0, "1", c1)
-                route(c1, "01", c1)
-                for g in delta:
-                    add(c1, g, g, chk0[l2, g])
-                # the first unmarked cell has been located: its symbol is
-                # l2, which must match the stored window's evolution
-                if l2 is not None and evolved == l2:
-                    left = l1 if l1 is not None else blank
-                    for g in delta:
-                        add(c0, g, g, _skip_name((left, l2, g)))
-                    route(c0, "#", checker_entry((left, l2, blank)))
-                    route(c0, "$", "d1")
-                elif group:
-                    route(c0, delta + ("#",), FAIL_ENTRY)
-                    route(c0, "$", "bump1")
-    tail("d1", "01", "d2", "d3")
 
     # --- q_c: virgin shape, every digit a 0
     route("form0", delta, "form1")
@@ -441,9 +400,59 @@ def build_tm_automaton(tm: TuringMachineSpec, params: TmReductionParams) -> Meal
         add("bump1", "0", "1", "bump2")
         tail("bump2", "01", "bump3", "bump4")
         route(SINK_STATE, sigma, SINK_STATE)
+
+    # --- checkers, last: their blocks are the table's last and largest growth
+    tail("d1", "01", "d2", "d3")
+    _write_checkers(table, tm, group)
+    if group:
         _complete_rows(table, table.state_index[SINK_STATE])
         _check_group_rows(table)
     return MealyAutomaton._of(table)
+
+
+def _write_checkers(table: _Table, tm: TuringMachineSpec, group: bool) -> None:
+    """The checker family as three blocks of whole rows: skipc|x|y|z per
+    window over delta, then chk0 and chk1 per window and lower pair (l1, l2)
+    over ('', *delta), named chk<tag>|x|y|z|l1|l2. A state's place in its
+    block is computed from its coordinates' delta indices, and every target
+    is read off a block's index list, so the table shares their int objects.
+    d1 and, in the group variant, bump0 and bump1 have their rows already."""
+    delta, tau, si = delta_alphabet(tm), derive_tau(tm), table.state_index
+    n, width, outs, targets = len(delta), table.width, table.outs, table.targets
+    windows = ["|".join(w) for w in itertools.product(delta, repeat=3)]
+    pairs = [f"{l1}|{l2}" for l1 in ("", *delta) for l2 in ("", *delta)]
+    skip = table.block([f"skipc|{w}" for w in windows])
+    chk0 = table.block([f"chk0|{w}|{p}" for w in windows for p in pairs])
+    chk1 = table.block([f"chk1|{w}|{p}" for w in windows for p in pairs])
+    # a row is listed for delta, 0, 1, # and $, then gathered into letter order
+    order = (*delta, "0", "1", "#", "$")
+    gather = itemgetter(*map(order.index, table.letters))
+    own = [table.letter_index[a] for a in order]
+    every, no_ends = gather(own), gather(own[:n + 2] + [-1, -1])
+    digits = gather([-1] * n + own[n:n + 2] + [-1, -1])
+    d1, fail = si["d1"], [si[FAIL_ENTRY], si["bump1"]] if group else None
+
+    def row(q: int, out: tuple, on_delta: list, *on_0_1_hash_dollar: int) -> None:
+        outs[q * width:(q + 1) * width] = out
+        targets[q * width:(q + 1) * width] = gather([*on_delta, *on_0_1_hash_dollar])
+
+    blank, wide = delta.index(tm.blank), len(pairs)
+    for w, s in enumerate(skip):
+        row(s, every, [s] * n, s, s, chk1[w * wide], d1)
+    evolved = [tau.get(window) for window in itertools.product(delta, repeat=3)]
+    for i, (c0, c1) in enumerate(zip(chk0, chk1)):
+        w, l1, l2 = i // wide, i // (n + 1) % (n + 1), i % (n + 1)
+        lo = w * wide + l2 * (n + 1) + 1  # chk0 of (window, l2, delta[0])
+        row(c1, no_ends, chk0[lo:lo + n], c1, c1, 0, 0)
+        # the first unmarked cell has been located: its symbol is l2, which
+        # must match the stored window's evolution
+        if l2 and delta[l2 - 1] == evolved[w]:
+            lo = ((l1 - 1 if l1 else blank) * n + l2 - 1) * n  # skipc of (left, l2, delta[0])
+            row(c0, every, skip[lo:lo + n], c0, c1, chk1[(lo + blank) * wide], d1)
+        elif group:
+            row(c0, every, fail[:1] * n, c0, c1, *fail)
+        else:
+            row(c0, digits, [0] * n, c0, c1, 0, 0)
 
 
 def _complete_rows(table: _Table, sink: int) -> None:

@@ -560,6 +560,26 @@ def test_route_writes_identity_cells():
     assert MealyAutomaton._of(table) == MealyAutomaton("x", "ab#", "qp", routed)
 
 
+def test_block_reserves_undefined_rows_under_new_names():
+    # each new name gets the next row, undefined; the indices returned are
+    # the int objects state_index holds, so targets copied from the list
+    # share them; a later add writes into a reserved row
+    table = _Table("x", "ab", ["q"])
+    rows = table.block(["p", "r"])
+    assert rows == [1, 2] and table.states == ["q", "p", "r"]
+    assert all(i is table.state_index[q] for i, q in zip(rows, "pr"))
+    assert (table.outs, table.targets) == ([-1] * 6, [0] * 6)
+    table.add("r", "b", "a", "p")
+    assert (table.outs, table.targets) == ([-1] * 5 + [0], [0] * 5 + [1])
+    # a name already in the table or repeated in the block would leave two
+    # rows under one name: the first such name in the order given is
+    # refused, and the table is left as it was
+    for names, bad in ((["s", "q", "t", "t"], "q"), (["s", "t", "s", "p"], "s")):
+        with pytest.raises(ValueError, match=f"state '{bad}' is named twice in table x"):
+            table.block(names)
+    assert (table.states, len(table.outs), len(table.state_index)) == (["q", "p", "r"], 6, 3)
+
+
 def test_equality_copies_no_transitions():
     # same_structure, and with it ==, compares the derived transitions in
     # place; Mapping.__eq__ would copy both into dicts first

@@ -7,6 +7,7 @@ and all frozen words below were derived from those runs by hand first.
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from helpers import LOOPER, SCANNER
@@ -259,6 +260,21 @@ def test_state_counts():
         for group in (False, True):
             aut = build_tm_automaton(tm, TmReductionParams(p_val=3, group_variant=group))
             assert len(aut.states) == checker_family_size(n_delta) + 27 + 6 * group
+
+
+def test_scanner_group_build_keeps_under_9_5_mb():
+    # the checker family's targets are read off one shared index list per
+    # family: an index computed per cell would be an int object of its own,
+    # about 3 MB more over the 214,200 cells
+    params = TmReductionParams(p_val=3, input_word=("a", "a"), group_variant=True)
+    tracemalloc.start()
+    try:
+        aut = build_tm_automaton(SCANNER, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(aut.states) == 21387 + 27 + 6
+    assert peak <= 9.5 * 2**20
 
 
 def test_inverse_variant_class():
