@@ -402,17 +402,17 @@ class _Table:
     candidate transitions."""
 
     def __init__(self, name: str, letters: Iterable[Letter], states: Iterable[State] = ()):
-        self.name, self.letters = name, sorted(letters)
+        self.name, self.letters, self.states = name, sorted(letters), list(states)
         self.width = len(self.letters)
+        cells = len(self.states) * self.width
+        self.outs, self.targets = [-1] * cells, [0] * cells
         self.letter_index = {a: j for j, a in enumerate(self.letters)}
-        self.states, self.outs, self.targets, self.state_index = [], [], [], {}
-        self.block(states)
+        self.state_index = {q: i for i, q in enumerate(self.states)}
 
     def block(self, names: Iterable[State]) -> list[int]:
-        """Reserve the next rows, undefined, for the new states names, in
-        order, and return their indices: the int objects state_index holds,
-        so targets stored from the list share them. Raises ValueError
-        naming the first name already in the table or repeated in names."""
+        """Reserve the next rows, undefined, for the new states names and
+        return their indices, the int objects state_index holds. Raises
+        ValueError naming the first name already in the table or repeated."""
         names, start, si = list(names), len(self.states), self.state_index
         index = dict(zip(names, range(start, start + len(names))))
         if len(index) < len(names) or not si.keys().isdisjoint(index):

@@ -401,7 +401,7 @@ def build_tm_automaton(tm: TuringMachineSpec, params: TmReductionParams) -> Meal
         tail("bump2", "01", "bump3", "bump4")
         route(SINK_STATE, sigma, SINK_STATE)
 
-    # --- checkers, last: their blocks are the table's last and largest growth
+    # --- checkers, last: the blocks then size the table's lists exactly
     tail("d1", "01", "d2", "d3")
     _write_checkers(table, tm, group)
     if group:
@@ -413,10 +413,9 @@ def build_tm_automaton(tm: TuringMachineSpec, params: TmReductionParams) -> Meal
 def _write_checkers(table: _Table, tm: TuringMachineSpec, group: bool) -> None:
     """The checker family as three blocks of whole rows: skipc|x|y|z per
     window over delta, then chk0 and chk1 per window and lower pair (l1, l2)
-    over ('', *delta), named chk<tag>|x|y|z|l1|l2. A state's place in its
-    block is computed from its coordinates' delta indices, and every target
-    is read off a block's index list, so the table shares their int objects.
-    d1 and, in the group variant, bump0 and bump1 have their rows already."""
+    over ('', *delta), named chk<tag>|x|y|z|l1|l2. A row's index is computed
+    from its coordinates' delta indices, and its targets are read off the
+    blocks' index lists (shared ints); d1, bump0 and bump1 are rows already."""
     delta, tau, si = delta_alphabet(tm), derive_tau(tm), table.state_index
     n, width, outs, targets = len(delta), table.width, table.outs, table.targets
     windows = ["|".join(w) for w in itertools.product(delta, repeat=3)]
