@@ -10,6 +10,7 @@ the human wording: `EQUAL` or `NOT-EQUAL <len> <tok> <tok> ...`.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import fields as dataclass_fields
 
@@ -177,6 +178,7 @@ def _add_porcelain(p) -> None:
     p.add_argument("--porcelain", action="store_true", help="stable one-line output")
 
 
+@functools.cache  # built once per process: parse_args keeps no state between calls
 def _build_parser() -> _Parser:
     parser = _Parser(prog="autsg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)

@@ -100,13 +100,19 @@ def _checked_tokens(
     letters: Iterable[Letter], states: Iterable[State]
 ) -> tuple[frozenset[Letter], frozenset[State]]:
     """The letters and the states as frozensets, checked in the order given
-    first, so that the token an error names does not depend on hashing."""
+    first, so that the token an error names does not depend on hashing. The
+    states pass in bulk if none is "" and their join (TypeError on a
+    non-string) has no whitespace; else the loop names the first bad one."""
     letters, states = tuple(letters), tuple(states)
     for tok in letters:
         _check_token(tok, "letter token")
         if tok.startswith("~"):
             raise ValueError(f"letter token may not begin with '~': {tok!r}")
-    for tok in states:
+    try:
+        bad = "" in states or (joined := "".join(states)).split() != [joined]
+    except TypeError:
+        bad = True
+    for tok in states if bad else ():
         _check_token(tok, "state name")
     return frozenset(letters), frozenset(states)
 

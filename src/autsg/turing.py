@@ -332,9 +332,9 @@ def build_tm_automaton(tm: TuringMachineSpec, params: TmReductionParams) -> Meal
     first, a row each as named (route fills pass-through cells, add the
     counter digits, tail each suffix reader 0^k $ 0), then the checker
     family as row blocks (_write_checkers). MealyAutomaton._of wraps it, so
-    its transitions dict is derived only if read. The group variant is
-    completed on the table and must pass the G-automaton check on it;
-    failure raises NotGAutomaton."""
+    its transitions dict is derived only if read. The group variant completes
+    the named rows, writes the blocks complete and checks the G-automaton
+    class on the whole table; failure raises NotGAutomaton."""
     delta, sigma, group = delta_alphabet(tm), sigma_alphabet(tm), params.group_variant
     table = _Table(f"tm-{tm.name}-group" if group else f"tm-{tm.name}", sigma)
     add, route = table.add, table.route
@@ -391,6 +391,7 @@ def build_tm_automaton(tm: TuringMachineSpec, params: TmReductionParams) -> Meal
     tail("probe5", "0", "probe6", "probe7", bit="1")
     route("probe5", "1", "probe_dead")
     route("probe_dead", sigma, "probe_dead")
+    tail("d1", "01", "d2", "d3")  # the checkers' suffix reader
 
     if group:
         # --- f: skip to the counter block and increment it once
@@ -400,12 +401,11 @@ def build_tm_automaton(tm: TuringMachineSpec, params: TmReductionParams) -> Meal
         add("bump1", "0", "1", "bump2")
         tail("bump2", "01", "bump3", "bump4")
         route(SINK_STATE, sigma, SINK_STATE)
+        _complete_rows(table, table.state_index[SINK_STATE])
 
     # --- checkers, last: the blocks then size the table's lists exactly
-    tail("d1", "01", "d2", "d3")
     _write_checkers(table, tm, group)
     if group:
-        _complete_rows(table, table.state_index[SINK_STATE])
         _check_group_rows(table)
     return MealyAutomaton._of(table)
 
@@ -415,7 +415,8 @@ def _write_checkers(table: _Table, tm: TuringMachineSpec, group: bool) -> None:
     window over delta, then chk0 and chk1 per window and lower pair (l1, l2)
     over ('', *delta), named chk<tag>|x|y|z|l1|l2. A row's index is computed
     from its coordinates' delta indices, and its targets are read off the
-    blocks' index lists (shared ints); d1, bump0 and bump1 are rows already."""
+    blocks' index lists (shared ints); d1, bump0, bump1 and the sink are rows
+    already. Group-variant rows are written complete: no completion reads them."""
     delta, tau, si = delta_alphabet(tm), derive_tau(tm), table.state_index
     n, width, outs, targets = len(delta), table.width, table.outs, table.targets
     windows = ["|".join(w) for w in itertools.product(delta, repeat=3)]
@@ -427,9 +428,10 @@ def _write_checkers(table: _Table, tm: TuringMachineSpec, group: bool) -> None:
     order = (*delta, "0", "1", "#", "$")
     gather = itemgetter(*map(order.index, table.letters))
     own = [table.letter_index[a] for a in order]
-    every, no_ends = gather(own), gather(own[:n + 2] + [-1, -1])
-    digits = gather([-1] * n + own[n:n + 2] + [-1, -1])
+    every, digits = gather(own), gather([-1] * n + own[n:n + 2] + [-1, -1])
     d1, fail = si["d1"], [si[FAIL_ENTRY], si["bump1"]] if group else None
+    # chk1 reads no # or $; the group variant passes them on to the sink, as completion would
+    c1_outs, c1_end = (every, si[SINK_STATE]) if group else (gather(own[:n + 2] + [-1, -1]), 0)
 
     def row(q: int, out: tuple, on_delta: list, *on_0_1_hash_dollar: int) -> None:
         outs[q * width:(q + 1) * width] = out
@@ -442,7 +444,7 @@ def _write_checkers(table: _Table, tm: TuringMachineSpec, group: bool) -> None:
     for i, (c0, c1) in enumerate(zip(chk0, chk1)):
         w, l1, l2 = i // wide, i // (n + 1) % (n + 1), i % (n + 1)
         lo = w * wide + l2 * (n + 1) + 1  # chk0 of (window, l2, delta[0])
-        row(c1, no_ends, chk0[lo:lo + n], c1, c1, 0, 0)
+        row(c1, c1_outs, chk0[lo:lo + n], c1, c1, c1_end, c1_end)
         # the first unmarked cell has been located: its symbol is l2, which
         # must match the stored window's evolution
         if l2 and delta[l2 - 1] == evolved[w]:
@@ -457,7 +459,8 @@ def _write_checkers(table: _Table, tm: TuringMachineSpec, group: bool) -> None:
 def _complete_rows(table: _Table, sink: int) -> None:
     """The identity-preferring sink completion, in place: each undefined
     cell of a row emits its own letter if the row does not emit it yet, else
-    the least letter the row does not emit, and moves to the sink."""
+    the least letter the row does not emit, and moves to the sink. A build
+    runs it on the named rows only, before _write_checkers adds the blocks."""
     outs, targets, width = table.outs, table.targets, table.width
     for k in range(0, len(outs), width):
         row = outs[k:k + width]
@@ -474,9 +477,12 @@ def _complete_rows(table: _Table, sink: int) -> None:
 def _check_group_rows(table: _Table) -> None:
     """Raise NotGAutomaton unless every row of the table emits every letter
     exactly once: complete and inverse-deterministic, the class check of
-    the group variant."""
+    the group variant. Only the distinct rows are checked, unless one fails:
+    then the first bad state in table order is named."""
     width, outs = table.width, table.outs
     letters = set(range(width))
+    if all(set(row) == letters for row in set(zip(*[outs[j::width] for j in range(width)]))):
+        return
     for i, q in enumerate(table.states):
         if set(outs[i * width:(i + 1) * width]) != letters:
             raise NotGAutomaton(

@@ -406,6 +406,32 @@ def test_automaton_validation():
         assert str(exc.value) == bad[start][1]
 
 
+@pytest.mark.parametrize("bad", ["", "p q", "p\tq", "p\u00a0q", "p\x1cq", 7, None])
+def test_state_token_errors_name_the_bad_token(bad):
+    # whichever constructor checks the states, one bad name among 50 good
+    # ones is named with the per-token message, wherever it stands; a bad
+    # letter is still reported before any state
+    good = [f"g{i}" for i in range(50)]
+    if isinstance(bad, str) and bad:
+        message = f"state name may not contain whitespace: {bad!r}"
+    else:
+        message = f"state name must be a non-empty string, got {bad!r}"
+    makers = (
+        lambda letters, states: MealyAutomaton("m", letters, states, {}),
+        lambda letters, states: MealyAutomaton._of(_Table("m", letters, states)),
+        lambda letters, states: Acceptor("z", letters, states, [], ["g0"], []),
+    )
+    for at in (0, 25, 50):
+        states = good[:at] + [bad] + good[at:]
+        for make in makers:
+            with pytest.raises(ValueError) as exc:
+                make(["a", "b"], states)
+            assert str(exc.value) == message
+            with pytest.raises(ValueError) as exc:
+                make(["a", "~b"], states)
+            assert str(exc.value) == "letter token may not begin with '~': '~b'"
+
+
 def test_transitions_do_not_follow_the_dict_they_were_built_from():
     trans = {("q", "a"): ("b", "q"), ("q", "b"): ("a", "p")}
     aut = MealyAutomaton("x", "ab", "qp", trans)
@@ -429,11 +455,12 @@ def test_token_errors_do_not_depend_on_string_hashing():
     # several bad tokens: the first one given is the one named, whatever
     # order a set would iterate them in
     script = (
-        "from autsg.mealy import Acceptor, MealyAutomaton\n"
+        "from autsg.mealy import Acceptor, MealyAutomaton, _Table\n"
         "from autsg.turing import TuringMachineSpec\n"
         "for make in (\n"
         "    lambda: MealyAutomaton('m', ['~a', '~b', '~c'], ['q'], {}),\n"
         "    lambda: MealyAutomaton('m', ['a'], ['p q', 'r s', 't u'], {}),\n"
+        "    lambda: MealyAutomaton._of(_Table('m', ['a'], ['q', 'r s', 'p q'])),\n"
         "    lambda: Acceptor('z', ['~a', '~b', '~c'], ['s'], [], ['s'], []),\n"
         "    lambda: TuringMachineSpec('m', ['_', 'a:b', 'c|d', 'e:f'], '_', ['z'], 'z', [], {}),\n"
         "    lambda: TuringMachineSpec('m', ['_'], '_', ['z:0', 'z|1', 'z:2'], 'z:0', [], {}),\n"
@@ -446,6 +473,7 @@ def test_token_errors_do_not_depend_on_string_hashing():
     expected = (
         "letter token may not begin with '~': '~a'\n"
         "state name may not contain whitespace: 'p q'\n"
+        "state name may not contain whitespace: 'r s'\n"
         "letter token may not begin with '~': '~a'\n"
         "tape symbol may not contain ':' or '|': 'a:b'\n"
         "machine state may not contain ':' or '|': 'z:0'\n"

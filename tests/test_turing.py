@@ -12,6 +12,7 @@ import tracemalloc
 import pytest
 from helpers import LOOPER, SCANNER
 
+from autsg import mealy, turing
 from autsg.cli import run
 from autsg.errors import LeftEdgeViolated, NotGAutomaton, SpaceBoundViolated
 from autsg.mealy import (
@@ -294,6 +295,17 @@ def test_group_completion_prefers_identity():
     # identity 1/1 is taken by the toggle's output, so 1 falls back to the
     # smallest unused letter
     assert AUT_ACC_G.transitions[("probe6", "1")] == ("0", "sink")
+    # a chk1 state reads no # or $: its row is written as the completion
+    # finishes it
+    assert AUT_ACC_G.transitions[("chk1|_|a|_||", "#")] == ("#", "sink")
+    assert AUT_ACC_G.transitions[("chk1|_|a|_||", "$")] == ("$", "sink")
+
+
+def test_group_completion_leaves_a_finished_table_as_it_is():
+    table = build_tm_automaton(SMALL_DELTA_MACHINES[0], TmReductionParams(3, group_variant=True))._table
+    outs, targets = list(table.outs), list(table.targets)
+    _complete_rows(table, table.state_index["sink"])
+    assert (table.outs, table.targets) == (outs, targets)
 
 
 def _table(outs: list[int]) -> _Table:
@@ -313,6 +325,18 @@ def test_group_class_check_reads_every_row():
         _check_group_rows(_table([0, 1, 2, 2, 0, -1]))
     with pytest.raises(NotGAutomaton, match="'q0'"):  # q0 emits a twice
         _check_group_rows(_table([0, 0, 2, 2, 0, 1]))
+    # many rows share one permutation; a bad row among them is named, and of
+    # two different bad rows the first in table order
+    table = _Table("t", "abc", [f"q{i}" for i in range(200)])
+    table.outs = [1, 2, 0] * 200
+    _check_group_rows(table)
+    table.outs[300:303] = [1, 1, 0]
+    with pytest.raises(NotGAutomaton, match="'q100'"):
+        _check_group_rows(table)
+    table.outs[420:423] = [0, 0, 0]
+    table.outs[180:183] = [2, 0, -1]
+    with pytest.raises(NotGAutomaton, match="'q60'"):
+        _check_group_rows(table)
 
 
 def test_group_completion_fails_the_check_on_a_repeated_output():
@@ -342,6 +366,30 @@ def test_reduce_tm_derives_no_literal_transitions(tmp_path, monkeypatch, capsys)
     assert run(["reduce", "tm", str(f), "--space", "3", "--input", "a", "a", "--group"]) == 0
     assert capsys.readouterr().out
     assert len(derived) == 1 and derived[0] < 100
+
+
+def test_group_build_checks_tokens_and_completes_rows_in_bulk(monkeypatch):
+    # the state names are checked in one pass, and the completion reads only
+    # the named rows: a per-name check or a completion over the checker
+    # blocks would only show as a slower build
+    checked, completed = [], []
+    check_token, complete_rows = mealy._check_token, turing._complete_rows
+
+    def spy_check(tok, what):
+        checked.append((tok, what))
+        check_token(tok, what)
+
+    def spy_complete(table, sink):
+        completed.append(len(table.states))
+        complete_rows(table, sink)
+
+    monkeypatch.setattr(mealy, "_check_token", spy_check)
+    monkeypatch.setattr(turing, "_complete_rows", spy_complete)
+    params = TmReductionParams(p_val=3, input_word=("a", "a"), group_variant=True)
+    inst = reduce_tm(SCANNER, params)
+    names = [tok for tok, what in checked if what == "state name"]
+    assert names == [inst.automaton.name, inst.constraints[0].name]
+    assert len(completed) == 1 and completed[0] < 100
 
 
 def test_random_machines_stay_in_class():
