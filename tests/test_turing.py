@@ -302,7 +302,8 @@ def test_group_completion_prefers_identity():
 
 
 def test_group_completion_leaves_a_finished_table_as_it_is():
-    table = build_tm_automaton(SMALL_DELTA_MACHINES[0], TmReductionParams(3, group_variant=True))._table
+    params = TmReductionParams(p_val=3, group_variant=True)
+    table = build_tm_automaton(SMALL_DELTA_MACHINES[0], params)._table
     outs, targets = list(table.outs), list(table.targets)
     _complete_rows(table, table.state_index["sink"])
     assert (table.outs, table.targets) == (outs, targets)
