@@ -108,6 +108,18 @@ def random_dfa(rng: random.Random, name: str, max_states: int = 4) -> Acceptor:
     return Acceptor(name, ("0", "1"), states, trans, (states[0],), finals)
 
 
+def acceptance_dfa(
+    rng: random.Random, name: str, max_states: int, final_prob: float
+) -> Acceptor:
+    """A complete DFA over {0,1} of one to max_states states, each final
+    with probability final_prob: the draw of acceptance criteria 5 and 6."""
+    m = rng.randint(1, max_states)
+    states = [f"s{j}" for j in range(m)]
+    trans = {(q, a, rng.choice(states)) for q in states for a in ("0", "1")}
+    final = [q for q in states if rng.random() < final_prob]
+    return Acceptor(name, ("0", "1"), states, trans, [states[0]], final)
+
+
 def rebuilt_with_add(automaton: MealyAutomaton) -> MealyAutomaton:
     """The automaton rebuilt cell by cell through _Table.add, its states
     declared in reverse-sorted order, so not in the order the dict

@@ -14,6 +14,8 @@ import itertools
 import random
 import time
 
+from helpers import acceptance_dfa
+
 from autsg.errors import LeftEdgeViolated, SpaceBoundViolated
 from autsg.gadgets import build_gadget, separation_instance
 from autsg.mealy import (
@@ -91,14 +93,6 @@ def _rand_partial(rng, name, max_states=3, letters=("0", "1"), density=0.7):
             if rng.random() < density:
                 trans[(q, a)] = (rng.choice(letters), rng.choice(states))
     return MealyAutomaton(name, letters, states, trans)
-
-
-def _rand_dfa(rng, name, max_states, final_prob):
-    m = rng.randint(1, max_states)
-    states = [f"s{j}" for j in range(m)]
-    trans = {(q, a, rng.choice(states)) for q in states for a in ("0", "1")}
-    final = [q for q in states if rng.random() < final_prob]
-    return Acceptor(name, ("0", "1"), states, trans, [states[0]], final)
 
 
 # --- criterion 1 -------------------------------------------------------------
@@ -267,7 +261,7 @@ def test_criterion_5_dfa_intersection_reduction():
     empties = 0
     for i in range(100):
         r = rng.randint(1, 3)
-        dfas = [_rand_dfa(rng, f"d{i}_{k}", 4, 0.5) for k in range(r)]
+        dfas = [acceptance_dfa(rng, f"d{i}_{k}", 4, 0.5) for k in range(r)]
         for acc in dfas:
             _register_acceptor(acc)
         d = DfaList(dfas)
@@ -305,7 +299,7 @@ def test_criterion_6_dfa_emptiness_reduction():
     problems = []
     empties = 0
     for i in range(100):
-        dfa = _rand_dfa(rng, f"e{i}", 5, 0.15)
+        dfa = acceptance_dfa(rng, f"e{i}", 5, 0.15)
         _register_acceptor(dfa)
         steps = {(q, a): p for (q, a, p) in dfa.transitions}
         start = next(iter(dfa.initial))

@@ -1,9 +1,11 @@
 """Golden digests: the SHA-256 of the reductions' outputs, pinned.
 
-A change to a construction, to minimize or to the text format that alters a
-single output byte fails here. Run as a script, this file prints one line per
-digest; the test runs it in a fresh interpreter under two PYTHONHASHSEED
-values, so no output may depend on string hashing either.
+A change to a construction, to minimize, to the derived automata (invert,
+union, dual, complete_with_zero) or to the text format that alters a single
+output byte, or an error's class or message, fails here. Run as a script,
+this file prints one line per digest; the test runs it in a fresh
+interpreter under two PYTHONHASHSEED values, so no output may depend on
+string hashing either.
 
     python tests/test_golden.py   (with src/ on PYTHONPATH)
 """
@@ -15,10 +17,17 @@ import tempfile
 from contextlib import redirect_stdout
 from pathlib import Path
 
-from helpers import LOOPER, SCANNER, SMALL_DELTA_MACHINES, stdout_under_hash_seeds
+from helpers import (
+    LOOPER,
+    SCANNER,
+    SMALL_DELTA_MACHINES,
+    rebuilt_with_add,
+    stdout_under_hash_seeds,
+)
 
 from autsg.cli import run
-from autsg.mealy import Acceptor
+from autsg.errors import AutomatonError
+from autsg.mealy import Acceptor, MealyAutomaton, complete_with_zero, dual, invert, union
 from autsg.reductions import DfaList, reduce_dfa_intersection
 from autsg.textio import serialize_automaton, serialize_instance, serialize_tm
 from autsg.turing import TmReductionParams, build_tm_automaton
@@ -54,6 +63,8 @@ GOLDEN = {
         "d235b2f56805c8573f0833359b684cd8296e19f293f42a5fa5572cae85a4c0f7",
     "reduce_dfa_intersection corpus":
         "224cfe97f460bffafd7423df011687339b85e9bb74d7a446157b766e0be8bf32",
+    "derived automata":
+        "396ec989f30ad87bffa2ec3406310ffc4288d33e9b946e90d0e87a30bf1ed254",
 }
 
 
@@ -83,6 +94,38 @@ def _random_dfas(rng: random.Random) -> DfaList:
     return DfaList(dfas)
 
 
+def _random_automaton(rng: random.Random) -> MealyAutomaton:
+    """A small partial automaton drawn from few names, so that unions
+    collide: a third have rows of distinct outputs; states may begin with ~
+    and tokens may be the reserved _zero and _bot."""
+    letters = rng.sample(["0", "1", "a", "b", "_x", "_bot"], rng.randint(1, 3))
+    states = rng.sample(["x", "y", "z", "b_x", "~x", "~~y", "_zero"], rng.randint(1, 4))
+    injective = rng.random() < 1 / 3
+    trans = {}
+    for q in states:
+        k = len(letters)
+        outputs = rng.sample(letters, k) if injective else rng.choices(letters, k=k)
+        for a, b in zip(letters, outputs):
+            if rng.random() < 0.8:
+                trans[q, a] = (b, rng.choice(states))
+    return MealyAutomaton(rng.choice(["a", "a_b", "m"]), letters, states, trans)
+
+
+def _derived(automata: list[MealyAutomaton]) -> str:
+    """One line per operation applied: the serialized result, or the
+    error's class and message."""
+    calls = [(op, (a,)) for a in automata for op in (invert, dual, complete_with_zero)]
+    calls += [(union, pair) for pair in zip(automata, automata[1:])]
+    calls += [(union, (a, a)) for a in automata[::10]]
+    lines = []
+    for op, args in calls:
+        try:
+            lines.append(serialize_automaton(op(*args)))
+        except (AutomatonError, ValueError) as exc:
+            lines.append(f"{type(exc).__name__}: {exc}\n")
+    return "".join(lines)
+
+
 def digests() -> dict[str, str]:
     out = {}
     for tm, argv in ((SCANNER, ["--input", "a", "a"]), (LOOPER, [])):
@@ -101,6 +144,11 @@ def digests() -> dict[str, str]:
         for group in (False, True):
             corpus.update(serialize_instance(reduce_dfa_intersection(dfas, group)).encode())
     out["reduce_dfa_intersection corpus"] = corpus.hexdigest()
+    rng = random.Random(17)
+    automata = [_random_automaton(rng) for _ in range(200)]
+    # every fourth one on a table whose rows are not in sorted order
+    automata[::4] = map(rebuilt_with_add, automata[::4])
+    out["derived automata"] = _sha256(_derived(automata))
     return out
 
 
