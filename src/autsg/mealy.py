@@ -15,13 +15,14 @@ Each automaton is one integer table, a _Table: per state a row holding,
 per letter, the index of the output letter and of the next state. The
 table is also the one builder: the constructor writes the transitions dict
 it is given into a table and keeps no dict, while the reductions
-(build_tm_automaton, reduce_dfa_intersection, reduce_dfa_emptiness) and
-minimize fill a table directly: cell by cell with _Table.add, the cells
-that pass their letter on with _Table.route, or in whole rows, as slices
-of a block of rows _Table.block reserves (build_tm_automaton's checker
-family), and wrap it with MealyAutomaton._of. Either way the read-only
-transitions are derived from the table on first read (their length is
-counted off the table), and check_properties and minimize read the table.
+(build_tm_automaton, reduce_dfa_intersection, reduce_dfa_emptiness),
+minimize and the derived automata (invert, union, dual, complete_with_zero)
+fill a table directly: cell by cell with _Table.add, the cells that pass
+their letter on with _Table.route, or in whole rows, as slices of a block
+of rows _Table.block reserves (build_tm_automaton's checker family), and
+wrap it with MealyAutomaton._of. Either way the read-only transitions are
+derived from the table on first read (their length is counted off the
+table), and check_properties and minimize read the table.
 
 This module owns the two stepping kernels the rest of the package uses:
 _thread, how a sequence of signed states consumes one letter, on signed
@@ -30,22 +31,20 @@ act_word and the word-problem search), and _subset_step, how a constraint
 acceptor's state subset reads one letter (behind acceptor_accepts and the
 search).
 
-_gc_paused runs a function with CPython's cyclic garbage collector switched
-off, and switches it back on when the function returns or raises. It wraps
-the entry points that build large tables of small objects: parse_file and
-parse_text in textio, minimize and the derivation of transitions from a
-table here, and the word-problem search behind decide and oracle_decide.
-A collection that runs while they build would scan every object made so far
-and find nothing to free, because those tables hold strings, tuples, dicts
-and sets and no reference cycles (a _Table keeps no reference to its
-automaton). Reference counting still frees everything they discard, and a
-cycle made elsewhere is collected once the collector runs again. Integer
-rows are lists of ints, which the collector does not track, so filling them
-(build_tm_automaton, the MealyAutomaton constructor, check_properties) needs
-no pause. The collector is process-wide, so the pause is too: it covers
-other threads while it lasts, and one that was already off stays off. A
-generator function is refused, because the pause would last for as long as
-the generator is suspended.
+_gc_paused runs a function with CPython's cyclic garbage collector off and
+switches it back on when the function returns or raises. It wraps only the
+entry points that keep many new containers alive while they run, where each
+collection rescans tables that hold no reference cycles and frees nothing:
+parse_file and parse_text in textio (unpaused, the 10.7 MB literal Scanner
+group instance takes about 1,200 collections and 0.4 s longer) and the
+search behind decide and oracle_decide (about 280 collections at
+separation n = 16). minimize keeps one key per class and starts no
+collection on the machine tables, and a paused derivation of transitions
+pays as much in the one collection that follows, so both run unpaused, as
+do the builders that fill lists of ints, which the collector does not
+track. The pause is process-wide: it covers other threads while it lasts,
+and one that was already off stays off. A generator function is refused,
+because the pause would last for as long as it is suspended.
 """
 
 from __future__ import annotations
@@ -453,7 +452,6 @@ class _Table:
         self.targets += [0] * self.width
         return i
 
-    @_gc_paused
     def transitions(self) -> dict[tuple[State, Letter], tuple[Letter, State]]:
         """The (state, letter) -> (output letter, next state) dict of the table."""
         letters, states, outs, targets = self.letters, self.states, self.outs, self.targets
@@ -612,19 +610,21 @@ def invert(automaton: MealyAutomaton) -> MealyAutomaton:
     """The inverse transducer on a fresh state copy named with a ~ prefix.
 
     Requires inverse determinism (otherwise the swapped table would be
-    nondeterministic). For every q -a/b-> p the result has ~q -b/a-> ~p.
+    nondeterministic). For every q -a/b-> p the result has ~q -b/a-> ~p; a
+    cell of ~q written twice means q emits one letter on two.
     """
-    report = check_properties(automaton)
-    if not report.inverse_deterministic:
-        raise NotInverseDeterministic(
-            f"{automaton.name} is not inverse-deterministic; cannot invert"
-        )
-    states = {f"~{q}" for q in automaton.states}
-    trans = {
-        (f"~{q}", b): (a, f"~{p}")
-        for (q, a), (b, p) in automaton.transitions.items()
-    }
-    return MealyAutomaton(f"~{automaton.name}", automaton.alphabet, states, trans)
+    table, width = automaton._table, automaton._table.width
+    inverse = _Table(f"~{automaton.name}", table.letters, [f"~{q}" for q in table.states])
+    for k, b in enumerate(table.outs):
+        if b >= 0:
+            a = k % width
+            cell = k - a + b
+            if inverse.outs[cell] >= 0:
+                raise NotInverseDeterministic(
+                    f"{automaton.name} is not inverse-deterministic; cannot invert"
+                )
+            inverse.outs[cell], inverse.targets[cell] = a, table.targets[k]
+    return MealyAutomaton._of(inverse)
 
 
 def union(a1: MealyAutomaton, a2: MealyAutomaton) -> MealyAutomaton:
@@ -640,15 +640,12 @@ def union(a1: MealyAutomaton, a2: MealyAutomaton) -> MealyAutomaton:
         p1, p2 = f"{a1.name}_", f"{a2.name}_"
         if {p1 + q for q in a1.states} & {p2 + q for q in a2.states}:
             p1, p2 = "l_", "r_"
-    states = {p1 + q for q in a1.states} | {p2 + q for q in a2.states}
-    trans: dict[tuple[State, Letter], tuple[Letter, State]] = {}
-    for (q, a), (b, p) in a1.transitions.items():
-        trans[(p1 + q, a)] = (b, p1 + p)
-    for (q, a), (b, p) in a2.transitions.items():
-        trans[(p2 + q, a)] = (b, p2 + p)
-    return MealyAutomaton(
-        f"{a1.name}+{a2.name}", a1.alphabet | a2.alphabet, states, trans
-    )
+    states = sorted([p1 + q for q in a1.states] + [p2 + q for q in a2.states])
+    table = _Table(f"{a1.name}+{a2.name}", a1.alphabet | a2.alphabet, states)
+    for prefix, side in ((p1, a1), (p2, a2)):
+        for (q, a), (b, p) in side.transitions.items():
+            table.add(prefix + q, a, b, prefix + p)
+    return MealyAutomaton._of(table)
 
 
 def dual(automaton: MealyAutomaton) -> MealyAutomaton:
@@ -660,16 +657,10 @@ def dual(automaton: MealyAutomaton) -> MealyAutomaton:
     and are checked in sorted order, so the one an error names does not
     depend on string hashing.
     """
-    trans = {
-        (a, q): (p, b)
-        for (q, a), (b, p) in automaton.transitions.items()
-    }
-    return MealyAutomaton(
-        f"dual_{automaton.name}",
-        sorted(automaton.states),
-        sorted(automaton.alphabet),
-        trans,
-    )
+    table = _Table(f"dual_{automaton.name}", automaton.states, sorted(automaton.alphabet))
+    for (q, a), (b, p) in automaton.transitions.items():
+        table.add(a, q, p, b)
+    return MealyAutomaton._of(table)
 
 
 def complete_with_zero(automaton: MealyAutomaton) -> MealyAutomaton:
@@ -684,19 +675,16 @@ def complete_with_zero(automaton: MealyAutomaton) -> MealyAutomaton:
         raise ReservedTokenCollision(f"alphabet already contains {BOTTOM_LETTER!r}")
     if ZERO_STATE in automaton.states:
         raise ReservedTokenCollision(f"states already contain {ZERO_STATE!r}")
-    alphabet = set(automaton.alphabet) | {BOTTOM_LETTER}
-    states = set(automaton.states) | {ZERO_STATE}
-    trans = automaton.transitions.copy()
-    for q in automaton.states:
-        for a in alphabet:
-            if (q, a) not in trans:
-                trans[(q, a)] = (BOTTOM_LETTER, ZERO_STATE)
-    for a in alphabet:
-        trans[(ZERO_STATE, a)] = (BOTTOM_LETTER, ZERO_STATE)
-    return MealyAutomaton(f"{automaton.name}_hat", alphabet, states, trans)
+    states = [*sorted(automaton.states), ZERO_STATE]
+    table = _Table(f"{automaton.name}_hat", automaton.alphabet | {BOTTOM_LETTER}, states)
+    cells = len(table.outs)  # every cell starts as the zero's
+    table.outs = [table.letter_index[BOTTOM_LETTER]] * cells
+    table.targets = [table.state_index[ZERO_STATE]] * cells
+    for (q, a), (b, p) in automaton.transitions.items():
+        table.add(q, a, b, p)
+    return MealyAutomaton._of(table)
 
 
-@_gc_paused
 def minimize(automaton: MealyAutomaton) -> tuple[MealyAutomaton, dict[State, State]]:
     """The Moore quotient and the class of every state.
 

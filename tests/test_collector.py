@@ -1,11 +1,13 @@
-"""The cyclic garbage collector around the table-building entry points.
+"""The cyclic garbage collector around the entry points that pause it.
 
-parse_text, minimize, the transitions derived from an automaton's integer
-table and the search behind decide and oracle_decide run with the collector
-paused, and leave it as they found it, whether they return or raise.
-build_tm_automaton, the MealyAutomaton constructor and check_properties
-fill and read lists of ints, which the collector does not track, so they
-run unpaused and start no collection.
+parse_file, parse_text and the search behind decide and oracle_decide keep
+many new containers alive while they run, so they run with the collector
+paused, and leave it as they found it, whether they return or raise. The
+rest runs unpaused: build_tm_automaton, the MealyAutomaton constructor and
+check_properties fill and read lists of ints, which the collector does not
+track, and minimize keeps one key per class, so on the machine tables they
+start no collection; a pause around the transitions derived from a table
+would only defer its collections to the next allocation.
 """
 
 import gc
@@ -16,8 +18,9 @@ from helpers import SCANNER, TINY, rebuilt_with_add
 
 from autsg.errors import ConfigBudgetExceeded, ParseError
 from autsg.gadgets import build_gadget, separation_instance
+from autsg import cli, gadgets, mealy, reductions, textio, turing, wordproblem
 from autsg.mealy import MealyAutomaton, _gc_paused, _Table, check_properties, minimize
-from autsg.textio import parse_text, serialize_automaton
+from autsg.textio import parse_file, parse_text, serialize_automaton
 from autsg.turing import TmReductionParams, build_tm_automaton
 from autsg.wordproblem import WordProblemInstance, _search, decide, oracle_decide
 
@@ -41,7 +44,9 @@ SPIRAL = MealyAutomaton(
 
 SPIRAL_ROWS = rebuilt_with_add(SPIRAL)
 TINY_GROUP = TmReductionParams(p_val=1, group_variant=True)
+SCANNER_GROUP = TmReductionParams(p_val=3, input_word=("a", "a"), group_variant=True)
 SEPARATION = separation_instance("dual-adding", 9)
+SCANNER_TABLE = build_tm_automaton(SCANNER, SCANNER_GROUP)
 
 
 @contextmanager
@@ -109,9 +114,6 @@ def _collections_during(call) -> int:
 
 PAUSED = {
     "parse_text": (parse_text, (RING_TEXT,)),
-    "minimize": (minimize, (SPIRAL,)),
-    "minimize (rows)": (minimize, (SPIRAL_ROWS,)),
-    "transitions (rows)": (_Table.transitions, (SPIRAL_ROWS._table,)),
     "search": (_search, (SEPARATION, None, None)),
 }
 
@@ -125,11 +127,10 @@ def test_no_collection_runs_inside_the_entry_points(fn, args):
 
 
 UNPAUSED = {
-    # the 21k-state automaton, the 2,000-state ring's table filled from a
-    # dict, and the flags of a ring built afresh
-    "build_tm_automaton": lambda: build_tm_automaton(
-        SCANNER, TmReductionParams(p_val=3, input_word=("a", "a"), group_variant=True)
-    ),
+    # the 21k-state automaton and its Moore quotient, the 2,000-state ring's
+    # table filled from a dict, and the flags of a ring built afresh
+    "build_tm_automaton": lambda: build_tm_automaton(SCANNER, SCANNER_GROUP),
+    "minimize": lambda: minimize(SCANNER_TABLE),
     "MealyAutomaton": lambda: MealyAutomaton("ring", RING.alphabet, RING.states, RING_DICT),
     "check_properties": lambda: check_properties(
         MealyAutomaton("ring", RING.alphabet, RING.states, RING.transitions)
@@ -141,6 +142,20 @@ UNPAUSED = {
 def test_no_collection_runs_inside_the_table_builders(call):
     with _collector(True):
         assert _collections_during(call) == 0
+
+
+def test_the_pause_wraps_exactly_the_entry_points_that_pay():
+    paused = _gc_paused(lambda: None).__code__
+    wrapped = {
+        name
+        for module in (cli, gadgets, mealy, reductions, textio, turing, wordproblem)
+        for scope in (module, *(v for v in vars(module).values() if isinstance(v, type)))
+        for name, fn in vars(scope).items()
+        if getattr(fn, "__code__", None) is paused
+    }
+    assert wrapped == {"parse_file", "parse_text", "_search"}
+    assert all(hasattr(fn, "__wrapped__") for fn in (parse_file, parse_text, _search))
+    assert not any(hasattr(fn, "__wrapped__") for fn in (minimize, _Table.transitions))
 
 
 def test_pause_nests_and_refuses_generators():
