@@ -16,9 +16,9 @@ from contextlib import contextmanager
 import pytest
 from helpers import SCANNER, TINY, rebuilt_with_add
 
+from autsg import cli, gadgets, mealy, reductions, textio, turing, wordproblem
 from autsg.errors import ConfigBudgetExceeded, ParseError
 from autsg.gadgets import build_gadget, separation_instance
-from autsg import cli, gadgets, mealy, reductions, textio, turing, wordproblem
 from autsg.mealy import MealyAutomaton, _gc_paused, _Table, check_properties, minimize
 from autsg.textio import parse_file, parse_text, serialize_automaton
 from autsg.turing import TmReductionParams, build_tm_automaton

@@ -47,7 +47,7 @@ def _exceeds(inst: WordProblemInstance, budget: int) -> bool:
 
 
 def _at_budget(inst: WordProblemInstance) -> tuple[int, int] | str:
-    """(configs, depth) when decide(inst) passes BUDGET, else its verdict."""
+    """(configs, depth) when decide(inst) passes BUDGET, else its verdict's kind."""
     try:
         return decide(inst, max_configs=BUDGET).kind
     except ConfigBudgetExceeded as exc:
