@@ -556,6 +556,23 @@ def test_rows_count_their_transitions_without_deriving_them():
         assert aut.transitions.copy() == dict(ADDING.transitions)
 
 
+def test_derived_automata_and_the_serializer_derive_no_transitions():
+    # they read the source's cells off its table, so no dict of every cell
+    # is left cached on the source for as long as it lives
+    for read in (complete_with_zero, dual, lambda a: union(a, a), serialize_automaton):
+        source = build_gadget("adding")
+        read(source)
+        assert "transitions" not in vars(source)
+
+
+def test_cells_leave_the_table_sorted_by_name():
+    # rebuilt_with_add gives the rows in reverse order; the transitions and
+    # the text still come sorted by state and then by letter
+    aut = rebuilt_with_add(ADDING)
+    assert serialize_automaton(aut) == serialize_automaton(ADDING)
+    assert list(aut.transitions) == sorted(aut.transitions)
+
+
 def test_row_validation():
     # add gives a state first named as a target the next row, undefined;
     # _of checks the tokens of the table it wraps

@@ -216,21 +216,35 @@ def test_acceptor_error_does_not_depend_on_string_hashing():
 
 
 def test_resolution_errors():
-    doc = parse_text("instance\nautomaton nosuch\nlhs\nrhs\nend\n")
-    with pytest.raises(ParseError, match="unknown automaton"):
+    # each error names the line that caused it: the automaton, lhs, rhs or
+    # constraint line (the last, where one is repeated)
+    doc = parse_text("instance\nautomaton x\nlhs\nrhs\nautomaton nosuch\nend\n")
+    with pytest.raises(ParseError, match="unknown automaton") as exc:
         doc.resolve(doc.instances[0])
+    assert exc.value.line == 5
+    head = serialize_automaton(ADDING).count("\n")
     doc2 = parse_text(
         serialize_automaton(ADDING)
         + "instance\nautomaton adding\nlhs +2\nrhs\nend\n"
     )
-    with pytest.raises(ParseError, match="not a state"):
+    with pytest.raises(ParseError, match="not a state") as exc:
         doc2.resolve(doc2.instances[0])
+    assert exc.value.line == head + 3
+    doc2 = parse_text(
+        serialize_automaton(ADDING)
+        + "instance\nautomaton adding\nrhs +0\nlhs +1\nrhs +1 +2\nend\n"
+    )
+    with pytest.raises(ParseError, match="'\\+2' is not a state") as exc:
+        doc2.resolve(doc2.instances[0])
+    assert exc.value.line == head + 5
     doc3 = parse_text(
         serialize_automaton(ADDING)
-        + "instance\nautomaton adding\nlhs\nrhs\nconstraint c\nend\n"
+        + "acceptor c\nalphabet 0 1\nstates s\ninitial s\nend\n"
+        + "instance\nautomaton adding\nlhs\nconstraint c\nrhs\nconstraint d\nend\n"
     )
-    with pytest.raises(ParseError, match="unknown acceptor"):
+    with pytest.raises(ParseError, match="unknown acceptor 'd'") as exc:
         doc3.resolve(doc3.instances[0])
+    assert exc.value.line == head + 11
     # r emits b twice, so ~r is undefined: rejected at the instance line
     doc4 = parse_text(
         serialize_automaton(build_gadget("bireversible"))
