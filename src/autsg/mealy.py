@@ -20,9 +20,9 @@ minimize and the derived automata (invert, union, dual, complete_with_zero)
 fill a table directly: cell by cell with _Table.add, the cells that pass
 their letter on with _Table.route, or in whole rows, as slices of a block
 of rows _Table.block reserves (build_tm_automaton's checker family), and
-wrap it with MealyAutomaton._of. Either way the read-only transitions are
-derived from the table on first read (their length is counted off the
-table), and check_properties and minimize read the table.
+wrap it with MealyAutomaton._of. Names leave a table only as its cells,
+sorted by name (_Table.cells): the serializer and the derived automata read
+them, and transitions derives its dict from them (len counts the table).
 
 This module owns the two stepping kernels the rest of the package uses:
 _thread, how a sequence of signed states consumes one letter, on signed
@@ -185,9 +185,9 @@ class MealyAutomaton:
     read-only. Determinism is inherent to the representation; completeness
     is not required. Instances are immutable and safe to share. Every
     automaton keeps only its integer table, whether built from a dict or
-    wrapped from a filled _Table by _of, and derives transitions from it on
-    first read; the dict it was built from is not kept, so changing it later
-    changes nothing here.
+    wrapped from a filled _Table by _of, and derives transitions from its
+    cells when read; the dict it was built from is not kept, so changing it
+    later changes nothing here.
     """
 
     name: str
@@ -258,7 +258,7 @@ class MealyAutomaton:
 
     @cached_property
     def transitions(self) -> Mapping[tuple[State, Letter], tuple[Letter, State]]:
-        """Derived from the integer table on first read."""
+        """A view of the table's cells; see _RowTransitions."""
         return _RowTransitions(self._table)
 
 
@@ -359,15 +359,15 @@ def acceptor_accepts(acc: Acceptor, word: Iterable[Letter] | str) -> bool:
 
 class _RowTransitions(Mapping):
     """The read-only transitions of an automaton. Its length is counted off
-    the integer table; the first other read derives the dict from the table,
-    and every later read uses that dict."""
+    the integer table; the first other read derives the dict from the
+    table's cells, the one way names leave it, and later reads use it."""
 
     def __init__(self, table: "_Table"):
         self._table = table
 
     @cached_property
     def _dict(self) -> dict[tuple[State, Letter], tuple[Letter, State]]:
-        return self._table.transitions()
+        return {(q, a): (b, p) for q, a, b, p in self._table.cells()}
 
     def __len__(self) -> int:
         return len(self._table.outs) - self._table.outs.count(-1)
@@ -452,16 +452,15 @@ class _Table:
         self.targets += [0] * self.width
         return i
 
-    def transitions(self) -> dict[tuple[State, Letter], tuple[Letter, State]]:
-        """The (state, letter) -> (output letter, next state) dict of the table."""
+    def cells(self) -> Iterator[tuple[State, Letter, Letter, State]]:
+        """Every defined cell as (state, input, output, next state), sorted
+        by state name and then by letter, whatever the order of the rows:
+        the one way names leave the table."""
         letters, states, outs, targets = self.letters, self.states, self.outs, self.targets
-        width = self.width
-        return {
-            (q, a): (letters[outs[k]], states[targets[k]])
-            for i, q in enumerate(states)
-            for k, a in enumerate(letters, i * width)
-            if outs[k] >= 0
-        }
+        for i in sorted(range(len(states)), key=states.__getitem__):
+            for k, a in enumerate(letters, i * self.width):
+                if (b := outs[k]) >= 0:
+                    yield states[i], a, letters[b], states[targets[k]]
 
     def signed(self, item: SignedState) -> int:
         i = self.state_index.get(item.base)
@@ -643,7 +642,7 @@ def union(a1: MealyAutomaton, a2: MealyAutomaton) -> MealyAutomaton:
     states = sorted([p1 + q for q in a1.states] + [p2 + q for q in a2.states])
     table = _Table(f"{a1.name}+{a2.name}", a1.alphabet | a2.alphabet, states)
     for prefix, side in ((p1, a1), (p2, a2)):
-        for (q, a), (b, p) in side.transitions.items():
+        for q, a, b, p in side._table.cells():
             table.add(prefix + q, a, b, prefix + p)
     return MealyAutomaton._of(table)
 
@@ -658,7 +657,7 @@ def dual(automaton: MealyAutomaton) -> MealyAutomaton:
     depend on string hashing.
     """
     table = _Table(f"dual_{automaton.name}", automaton.states, sorted(automaton.alphabet))
-    for (q, a), (b, p) in automaton.transitions.items():
+    for q, a, b, p in automaton._table.cells():
         table.add(a, q, p, b)
     return MealyAutomaton._of(table)
 
@@ -680,7 +679,7 @@ def complete_with_zero(automaton: MealyAutomaton) -> MealyAutomaton:
     cells = len(table.outs)  # every cell starts as the zero's
     table.outs = [table.letter_index[BOTTOM_LETTER]] * cells
     table.targets = [table.state_index[ZERO_STATE]] * cells
-    for (q, a), (b, p) in automaton.transitions.items():
+    for q, a, b, p in automaton._table.cells():
         table.add(q, a, b, p)
     return MealyAutomaton._of(table)
 

@@ -33,9 +33,10 @@ an acceptor's initial) add up when repeated; of other repeated lines, lhs
 and rhs among them, the last one wins. _KEYWORDS states the table above
 once: one reader collects a block's lines up to end, checking keywords and
 the size of fixed-size lines, and a builder per kind makes the object. A
-ParseError names its line: a line's own fault names that line, and a block
-its constructor rejects names the first line using a token the block does
-not declare, or else the head line.
+ParseError names its line: a line's own fault names that line, a block its
+constructor rejects names the first line using a token the block does not
+declare, or else the head line, and an instance names the automaton, lhs,
+rhs or constraint line whose name does not resolve.
 
 Serializers emit blocks with sorted alphabets, states and transitions, so
 output is deterministic; they refuse tokens that would not survive a parse
@@ -65,6 +66,8 @@ class ParsedInstance:
     constraint_names: tuple[str, ...] = ()
     budget: int | None = None
     line: int | None = None
+    # the lines of the automaton, lhs and rhs keywords, then of each constraint
+    lines: tuple[int, ...] = field(default=(), compare=False, repr=False)
 
 
 @dataclass
@@ -78,21 +81,22 @@ class DocumentSet:
     instances: list[ParsedInstance] = field(default_factory=list)
 
     def resolve(self, parsed: ParsedInstance) -> WordProblemInstance:
+        at_automaton, at_lhs, at_rhs, *at_constraints = (
+            parsed.lines or [parsed.line] * (3 + len(parsed.constraint_names))
+        )
         if parsed.automaton_name not in self.automata:
             raise ParseError(
                 f"instance refers to unknown automaton {parsed.automaton_name!r}",
-                parsed.line,
+                at_automaton,
             )
         automaton = self.automata[parsed.automaton_name]
         constraints = []
-        for name in parsed.constraint_names:
+        for name, line in zip(parsed.constraint_names, at_constraints, strict=True):
             if name not in self.acceptors:
-                raise ParseError(
-                    f"instance refers to unknown acceptor {name!r}", parsed.line
-                )
+                raise ParseError(f"instance refers to unknown acceptor {name!r}", line)
             constraints.append(self.acceptors[name])
-        lhs = [_resolve_seq_token(t, automaton, parsed.line) for t in parsed.lhs_tokens]
-        rhs = [_resolve_seq_token(t, automaton, parsed.line) for t in parsed.rhs_tokens]
+        lhs = [_resolve_seq_token(t, automaton, at_lhs) for t in parsed.lhs_tokens]
+        rhs = [_resolve_seq_token(t, automaton, at_rhs) for t in parsed.rhs_tokens]
         try:
             return WordProblemInstance(automaton, lhs, rhs, constraints)
         except (ValueError, AutomatonError) as exc:
@@ -319,7 +323,9 @@ def _build_instance(_name: None, start: int, body: _Body) -> ParsedInstance:
         raise ParseError("instance needs lhs and rhs lines", start)
     constraints = tuple(_tokens(body["constraint"]))
     budget = None if budget is None else int(budget[0])
-    return ParsedInstance(automaton[0], tuple(lhs), tuple(rhs), constraints, budget, start)
+    lines = tuple(body[kw][-1][0] for kw in ("automaton", "lhs", "rhs"))
+    lines += tuple(lineno for lineno, _ in body["constraint"])
+    return ParsedInstance(automaton[0], tuple(lhs), tuple(rhs), constraints, budget, start, lines)
 
 
 _BUILDERS = {
@@ -345,18 +351,17 @@ def _block(head: str, lines) -> str:
     return text
 
 
-# The serializers pass rows as generators, and serialize_automaton sorts only
-# the keys, so that the rows of a large automaton are not all held as tuples
-# next to their text.
+# The serializers pass rows as generators, and serialize_automaton streams
+# the table's cells, already sorted, so that the rows of a large automaton
+# are held neither as tuples nor as a dict next to their text.
 
 
 def serialize_automaton(automaton: MealyAutomaton) -> str:
-    trans = automaton.transitions
     head = [
         ("alphabet", *sorted(automaton.alphabet)),
         ("states", *sorted(automaton.states)),
     ]
-    rows = (("t", q, a, *trans[q, a]) for q, a in sorted(trans))
+    rows = (("t", *cell) for cell in automaton._table.cells())
     return _block(f"mealy {automaton.name}", chain(head, rows))
 
 

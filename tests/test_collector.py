@@ -155,7 +155,7 @@ def test_the_pause_wraps_exactly_the_entry_points_that_pay():
     }
     assert wrapped == {"parse_file", "parse_text", "_search"}
     assert all(hasattr(fn, "__wrapped__") for fn in (parse_file, parse_text, _search))
-    assert not any(hasattr(fn, "__wrapped__") for fn in (minimize, _Table.transitions))
+    assert not any(hasattr(fn, "__wrapped__") for fn in (minimize, _Table.cells))
 
 
 def test_pause_nests_and_refuses_generators():

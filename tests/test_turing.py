@@ -353,15 +353,15 @@ def test_group_completion_fails_the_check_on_a_repeated_output():
 
 def test_reduce_tm_derives_no_literal_transitions(tmp_path, monkeypatch, capsys):
     # the 21k-state automaton is built, checked and minimized on its rows:
-    # only the quotient's transitions are ever derived, to print it
+    # only the quotient's cells are ever named, to print it
     derived = []
-    transitions = _Table.transitions
+    cells = _Table.cells
 
     def spy(table):
         derived.append(len(table.states))
-        return transitions(table)
+        return cells(table)
 
-    monkeypatch.setattr(_Table, "transitions", spy)
+    monkeypatch.setattr(_Table, "cells", spy)
     f = tmp_path / "scan.tm"
     f.write_text(serialize_tm(SCANNER), encoding="utf-8")
     assert run(["reduce", "tm", str(f), "--space", "3", "--input", "a", "a", "--group"]) == 0
