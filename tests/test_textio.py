@@ -230,12 +230,12 @@ def test_resolution_errors():
     with pytest.raises(ParseError, match="not a state") as exc:
         doc2.resolve(doc2.instances[0])
     assert exc.value.line == head + 3
-    doc2 = parse_text(
+    repeated = parse_text(
         serialize_automaton(ADDING)
         + "instance\nautomaton adding\nrhs +0\nlhs +1\nrhs +1 +2\nend\n"
     )
     with pytest.raises(ParseError, match="'\\+2' is not a state") as exc:
-        doc2.resolve(doc2.instances[0])
+        repeated.resolve(repeated.instances[0])
     assert exc.value.line == head + 5
     doc3 = parse_text(
         serialize_automaton(ADDING)
