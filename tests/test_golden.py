@@ -41,6 +41,18 @@ GOLDEN = {
         "09292092763db56cf727780487d844e2471afbaaf7ea8c000f0a78fcbe053c16",
     "reduce tm looper group":
         "e60ee406173b134f3a0e37b5ec485fb68f309ec3da811798f3e461f81b2ee04e",
+    "reduce tm flip inverse":
+        "2076e4fff8cdf199a9cc9aef335b1eb5f4812b7029cd72ee151d3bab77b622d8",
+    "reduce tm flip group":
+        "133b4ba71f1f8082c26265372856224ca4d5847d83ce8cef0775c44f7b3e30a1",
+    "reduce tm swap inverse":
+        "8b714983906c50eafb9d05b3223cf1652f6c4b97d7d4ce3534e4468cf8f1213a",
+    "reduce tm swap group":
+        "846e7fab1a63a5b66d7ecc30bf880630e45e62ffe8039f0eb9a6b27a08a7c39d",
+    "reduce tm count inverse":
+        "e34721601b3900d2c712d65614710b62a22578af4d2439e102bca3932b3a0271",
+    "reduce tm count group":
+        "5ceb2fef7ab65d513b60349a337f8a96e85785b4ddfe62984e4e306273040dfe",
     "build_tm_automaton scan inverse":
         "aca9a7126e12fcd2c3640d040891637d219820f2097d528a3c9d8f7bb2fb4f39",
     "build_tm_automaton scan group":
@@ -128,7 +140,9 @@ def _derived(automata: list[MealyAutomaton]) -> str:
 
 def digests() -> dict[str, str]:
     out = {}
-    for tm, argv in ((SCANNER, ["--input", "a", "a"]), (LOOPER, [])):
+    runs = [(SCANNER, ["--input", "a", "a"]), (LOOPER, [])]
+    runs += [(tm, []) for tm in SMALL_DELTA_MACHINES]
+    for tm, argv in runs:
         out[f"reduce tm {tm.name} inverse"] = _sha256(_reduce_tm(tm, argv))
         out[f"reduce tm {tm.name} group"] = _sha256(_reduce_tm(tm, argv + ["--group"]))
     builds = [(SCANNER, ("a", "a")), (LOOPER, ())]
