@@ -53,6 +53,7 @@ import gc
 import inspect
 from dataclasses import dataclass
 from functools import cached_property, wraps
+from struct import Struct
 from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import (
@@ -413,6 +414,7 @@ class _Table:
         self.outs, self.targets = [-1] * cells, [0] * cells
         self.letter_index = {a: j for j, a in enumerate(self.letters)}
         self.state_index = {q: i for i, q in enumerate(self.states)}
+        self.hint: list[int] | None = None  # minimize's start, set only by _write_checkers
 
     def block(self, names: Iterable[State]) -> list[int]:
         """Reserve the next rows, undefined, for the new states names and
@@ -684,36 +686,49 @@ def complete_with_zero(automaton: MealyAutomaton) -> MealyAutomaton:
     return MealyAutomaton._of(table)
 
 
-def minimize(automaton: MealyAutomaton) -> tuple[MealyAutomaton, dict[State, State]]:
-    """The Moore quotient and the class of every state.
-
-    Partition refinement (Moore's algorithm) over the table: states
-    start in one class when they emit the same letter on every input, an
-    undefined transition counting as an output of its own, and a class
-    splits while two of its states move on some letter into different
-    classes. Each class is named by its least state name, and class_of maps
-    every state to that name. The quotient's table is filled from the rows
-    of those least states; it keeps the name and the whole alphabet, so
-    constraint acceptors still match it. A state and its class act alike on
-    every word, inverted too: they have the same outputs, so ~q steps
-    ambiguously exactly where ~class_of[q] does.
-    Names and orders do not depend on string hashing."""
-    table = automaton._table
-    letters, states, outs, targets = table.letters, table.states, table.outs, table.targets
-    width = table.width
+def _refine(hint: Iterable[int], outs: list[int], targets: list[int], width: int) -> list[int]:
+    """Moore's refinement from equal hint and outputs; classes are numbered as first met."""
+    pack = Struct(f"{width + 1}i").pack  # keys are bytes, which the collector does not track
     ids: dict = {}
-    rows = (tuple(outs[i * width:(i + 1) * width]) for i in range(len(states)))
-    cls = [ids.setdefault(row, len(ids)) for row in rows]
+    keys = zip(hint, *[outs[j::width] for j in range(width)], strict=True)
+    cls = [ids.setdefault(pack(*key), len(ids)) for key in keys]
+    del keys  # the output columns go before the target columns come
     # where undefined, the output -1 tells the states apart and the target,
     # state 0, is never the only difference
     columns = [targets[j::width] for j in range(width)]  # per letter, every state's target
     count = 0
     while len(ids) != count:  # a round that splits no class is stable
         count = len(ids)
-        keys = zip(cls, *[map(cls.__getitem__, col) for col in columns])
+        keys = map(pack, cls, *[map(cls.__getitem__, col) for col in columns])
         ids = {}
         cls = [ids.setdefault(key, len(ids)) for key in keys]
-    order = sorted(range(len(states)), key=states.__getitem__)
+    return cls
+
+
+def minimize(automaton: MealyAutomaton) -> tuple[MealyAutomaton, dict[State, State]]:
+    """The Moore quotient and the class of every state.
+
+    Two stages of one refinement (_refine), an undefined transition counting as
+    an output of its own: the table from its hint joined with its outputs until
+    no class splits, then the quotient by that partition from its outputs alone,
+    its classes pulled back to the states. A stable partition that respects the
+    outputs merges only states that act alike, so any hint gives the exact Moore
+    partition; a poor one costs rounds, not the result. Only _write_checkers
+    sets a hint. Each class is named by its least state name, which class_of
+    maps every state to; the quotient's table is filled from the rows of those
+    least states and keeps the name and the whole alphabet, so constraint
+    acceptors still match it. A state and its class act alike on every word,
+    inverted too: they have the same outputs, so ~q steps ambiguously exactly
+    where ~class_of[q] does. Names and orders do not depend on string hashing."""
+    table = automaton._table
+    letters, states, outs, targets = table.letters, table.states, table.outs, table.targets
+    width, every = table.width, range(len(states))
+    cls = _refine([0] * len(states) if table.hint is None else table.hint, outs, targets, width)
+    some = dict(zip(cls, every)).values()  # a state of each class, in class order
+    cells = [k for i in some for k in range(i * width, (i + 1) * width)]
+    quotient = [outs[k] for k in cells], [cls[targets[k]] for k in cells]
+    cls = list(map(_refine([0] * len(some), *quotient, width).__getitem__, cls))
+    order = sorted(every, key=states.__getitem__)
     least: dict[int, int] = {}  # class -> its least state, in the order of those
     for i in order:
         least.setdefault(cls[i], i)

@@ -328,13 +328,13 @@ def checker_family_size(n_delta: int) -> int:
 def build_tm_automaton(tm: TuringMachineSpec, params: TmReductionParams) -> MealyAutomaton:
     """The full reduction automaton over sigma = Delta + {0,1,#,$}, the
     whole checker family included, unreachable states too (minimize gives
-    its Moore quotient). One _Table holds it: the few dozen other states
-    first, a row each as named (route fills pass-through cells, add the
-    counter digits, tail each suffix reader 0^k $ 0), then the checker
-    family as row blocks (_write_checkers). MealyAutomaton._of wraps it, so
-    its transitions dict is derived only if read. The group variant completes
-    the named rows, writes the blocks complete and checks the G-automaton
-    class on the whole table; failure raises NotGAutomaton."""
+    its Moore quotient, from the table's hint). One _Table holds it: the few
+    dozen other states first, a row each as named (route fills pass-through
+    cells, add the counter digits, tail each suffix reader 0^k $ 0), then the
+    checker family as row blocks and the hint (_write_checkers). _of wraps
+    it, so its transitions dict is derived only if read. The group variant
+    completes the named rows, writes the blocks complete and checks the
+    G-automaton class on the whole table; failure raises NotGAutomaton."""
     delta, sigma, group = delta_alphabet(tm), sigma_alphabet(tm), params.group_variant
     table = _Table(f"tm-{tm.name}-group" if group else f"tm-{tm.name}", sigma)
     add, route = table.add, table.route
@@ -416,7 +416,9 @@ def _write_checkers(table: _Table, tm: TuringMachineSpec, group: bool) -> None:
     over ('', *delta), named chk<tag>|x|y|z|l1|l2. A row's index is computed
     from its coordinates' delta indices, and its targets are read off the
     blocks' index lists (shared ints); d1, bump0, bump1 and the sink are rows
-    already. Group-variant rows are written complete: no completion reads them."""
+    already. Group-variant rows are written complete: no completion reads them.
+    A chk row reads w only through tau(w): the table's hint for minimize gives
+    those of one (tag, tau(w), l1, l2) the first one's index, others their own."""
     delta, tau, si = delta_alphabet(tm), derive_tau(tm), table.state_index
     n, width, outs, targets = len(delta), table.width, table.outs, table.targets
     windows = ["|".join(w) for w in itertools.product(delta, repeat=3)]
@@ -441,6 +443,9 @@ def _write_checkers(table: _Table, tm: TuringMachineSpec, group: bool) -> None:
     for w, s in enumerate(skip):
         row(s, every, [s] * n, s, s, chk1[w * wide], d1)
     evolved = [tau.get(window) for window in itertools.product(delta, repeat=3)]
+    first: dict = {}
+    lead = [first.setdefault(key, i) for i, key in enumerate(itertools.product(evolved, pairs))]
+    table.hint = [*si.values()][:chk0[0]] + [c[i] for c in (chk0, chk1) for i in lead]
     for i, (c0, c1) in enumerate(zip(chk0, chk1)):
         w, l1, l2 = i // wide, i // (n + 1) % (n + 1), i % (n + 1)
         lo = w * wide + l2 * (n + 1) + 1  # chk0 of (window, l2, delta[0])

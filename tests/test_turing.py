@@ -22,9 +22,13 @@ from autsg.mealy import (
     acceptor_accepts,
     act_word,
     check_properties,
+    complete_with_zero,
+    dual,
+    invert,
     minimize,
+    union,
 )
-from autsg.textio import serialize_tm
+from autsg.textio import parse_text, serialize_automaton, serialize_tm
 from autsg.turing import (
     TmReductionParams,
     TuringMachineSpec,
@@ -597,3 +601,80 @@ def test_quotient_instance_keeps_the_verdict(tm, inputs, p, group):
     lhs, rhs = ([class_of[s.base] for s in seq] for seq in (inst.lhs, inst.rhs))
     small = WordProblemInstance(quotient, lhs, rhs, inst.constraints)
     assert decide(small) == decide(inst)
+
+
+# --- the construction's hint for minimize -----------------------------------
+
+
+def _minimized(automaton):
+    quotient, class_of = minimize(automaton)
+    return serialize_automaton(quotient), class_of
+
+
+def test_no_hint_changes_the_quotient():
+    # minimize refines any hint into a stable partition that respects the
+    # outputs, which merges only states that act alike: a poor hint costs
+    # rounds, never the result
+    params = TmReductionParams(p_val=3, input_word=("a", "a"), group_variant=True)
+    aut = build_tm_automaton(SCANNER, params)
+    table, n, rng = aut._table, len(aut.states), random.Random(19)
+    hinted = _minimized(aut)
+    table.hint = None
+    assert _minimized(aut) == hinted
+    for hint in ([0] * n, list(range(n)), [rng.randrange(7) for _ in range(n)]):
+        table.hint = hint
+        assert _minimized(aut) == hinted
+    # the other variant's hint is one per state of a table six states smaller:
+    # refused, not cut to fit
+    inverse = TmReductionParams(p_val=3, input_word=("a", "a"))
+    table.hint = build_tm_automaton(SCANNER, inverse)._table.hint
+    assert len(table.hint) == n - 6
+    with pytest.raises(ValueError):
+        minimize(aut)
+
+
+@pytest.mark.parametrize("group", [False, True], ids=["inverse", "group"])
+@pytest.mark.parametrize("tm,inp", [(SCANNER, ("a", "a")), (LOOPER, ())], ids=["scan", "looper"])
+def test_reduce_tm_starts_minimize_from_the_construction_hint(
+    tm, inp, group, tmp_path, monkeypatch, capsys
+):
+    # a lost hint would change no output byte, only the time: reduce tm
+    # refines the whole table from the construction's hint, which ends with
+    # as many classes as the hint has, so its first round over the whole
+    # table split none and was its only one; the quotient then starts from
+    # its outputs alone
+    calls = []
+    refine = mealy._refine
+
+    def spy(hint, outs, targets, width):
+        hint = list(hint)
+        classes = refine(hint, outs, targets, width)
+        calls.append((hint, len(set(classes))))
+        return classes
+
+    monkeypatch.setattr(mealy, "_refine", spy)
+    f = tmp_path / f"{tm.name}.tm"
+    f.write_text(serialize_tm(tm), encoding="utf-8")
+    argv = ["reduce", "tm", str(f), "--space", "3", "--input", *inp] + ["--group"] * group
+    assert run(argv) == 0 and capsys.readouterr().out
+    params = TmReductionParams(p_val=3, input_word=inp, group_variant=group)
+    built = build_tm_automaton(tm, params)._table.hint
+    (hint, classes), (zeros, minimal) = calls
+    assert hint == built and classes == len(set(built)) == 932 + 6 * group
+    assert set(zeros) == {0} and len(zeros) == classes
+    assert minimal == CLASSES[tm.name, group]
+
+
+def test_only_the_construction_sets_a_hint():
+    aut = build_tm_automaton(TINY, TmReductionParams(p_val=1, group_variant=True))
+    assert len(aut._table.hint) == len(aut.states)
+    derived = (invert(aut), dual(aut), union(aut, aut), complete_with_zero(aut), minimize(aut)[0])
+    assert all(other._table.hint is None for other in derived)
+
+
+def test_a_literal_parsed_back_minimizes_as_the_hinted_build():
+    # the parser fills a table of its own, with no hint: Moore from the outputs
+    built = build_tm_automaton(SCANNER, TmReductionParams(p_val=3, input_word=("a", "a")))
+    literal = parse_text(serialize_automaton(built)).automata[built.name]
+    assert literal._table.hint is None and built._table.hint is not None
+    assert _minimized(literal) == _minimized(built)
