@@ -726,8 +726,8 @@ def minimize(automaton: MealyAutomaton) -> tuple[MealyAutomaton, dict[State, Sta
     cls = _refine([0] * len(states) if table.hint is None else table.hint, outs, targets, width)
     some = dict(zip(cls, every)).values()  # a state of each class, in class order
     cells = [k for i in some for k in range(i * width, (i + 1) * width)]
-    quotient = [outs[k] for k in cells], [cls[targets[k]] for k in cells]
-    cls = list(map(_refine([0] * len(some), *quotient, width).__getitem__, cls))
+    merged = [outs[k] for k in cells], [cls[targets[k]] for k in cells]
+    cls = list(map(_refine([0] * len(some), *merged, width).__getitem__, cls))
     order = sorted(every, key=states.__getitem__)
     least: dict[int, int] = {}  # class -> its least state, in the order of those
     for i in order:
