@@ -2,7 +2,8 @@
 
 A change to a construction, to minimize, to the derived automata (invert,
 union, dual, complete_with_zero) or to the text format that alters a single
-output byte, or an error's class or message, fails here. Run as a script,
+output byte, or an error's class or message, fails here; so does a change
+to a verdict or witness of the larger DFA instances. Run as a script,
 this file prints one line per digest; the test runs it in a fresh
 interpreter under two PYTHONHASHSEED values, so no output may depend on
 string hashing either.
@@ -31,6 +32,7 @@ from autsg.mealy import Acceptor, MealyAutomaton, complete_with_zero, dual, inve
 from autsg.reductions import DfaList, reduce_dfa_intersection
 from autsg.textio import serialize_automaton, serialize_instance, serialize_tm
 from autsg.turing import TmReductionParams, build_tm_automaton
+from autsg.wordproblem import decide
 
 GOLDEN = {
     "reduce tm scan inverse":
@@ -75,6 +77,8 @@ GOLDEN = {
         "d235b2f56805c8573f0833359b684cd8296e19f293f42a5fa5572cae85a4c0f7",
     "reduce_dfa_intersection corpus":
         "224cfe97f460bffafd7423df011687339b85e9bb74d7a446157b766e0be8bf32",
+    "reduce_dfa_intersection r 4..6":
+        "500959b7265a8c85847fa359e73b0bd2a4fa9c07c853c57aefba94c266d40825",
     "derived automata":
         "396ec989f30ad87bffa2ec3406310ffc4288d33e9b946e90d0e87a30bf1ed254",
 }
@@ -95,10 +99,10 @@ def _reduce_tm(tm, argv: list[str]) -> str:
     return out.getvalue()
 
 
-def _random_dfas(rng: random.Random) -> DfaList:
-    """One to three complete DFAs of one to four states each."""
+def _random_dfas(rng: random.Random, fewest: int = 1, most: int = 3) -> DfaList:
+    """fewest to most complete DFAs of one to four states each."""
     dfas = []
-    for k in range(rng.randint(1, 3)):
+    for k in range(rng.randint(fewest, most)):
         states = [f"s{i}" for i in range(rng.randint(1, 4))]
         trans = [(q, a, rng.choice(states)) for q in states for a in "01"]
         finals = [q for q in states if rng.random() < 0.5]
@@ -158,6 +162,16 @@ def digests() -> dict[str, str]:
         for group in (False, True):
             corpus.update(serialize_instance(reduce_dfa_intersection(dfas, group)).encode())
     out["reduce_dfa_intersection corpus"] = corpus.hexdigest()
+    # larger r, each instance followed by its verdict and witness
+    rng, corpus = random.Random(2017), hashlib.sha256()
+    for _ in range(60):
+        dfas = _random_dfas(rng, 4, 6)
+        for group in (False, True):
+            inst = reduce_dfa_intersection(dfas, group)
+            verdict = decide(inst)
+            corpus.update(serialize_instance(inst).encode())
+            corpus.update(f"{verdict.kind} {' '.join(verdict.witness or ())}\n".encode())
+    out["reduce_dfa_intersection r 4..6"] = corpus.hexdigest()
     rng = random.Random(17)
     automata = [_random_automaton(rng) for _ in range(200)]
     # every fourth one on a table whose rows are not in sorted order
