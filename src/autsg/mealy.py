@@ -20,7 +20,8 @@ minimize and the derived automata (invert, union, dual, complete_with_zero)
 fill a table directly: cell by cell with _Table.add, the cells that pass
 their letter on with _Table.route, or in whole rows, as slices of a block
 of rows _Table.block reserves (build_tm_automaton's checker family), and
-wrap it with MealyAutomaton._of. Names leave a table only as its cells,
+wrap it with MealyAutomaton._of; reduce_dfa_intersection adds its cells to
+a _Table.copy of a cached template of counter rows. Names leave a table only as its cells,
 sorted by name (_Table.cells): the serializer and the derived automata read
 them, and transitions derives its dict from them (len counts the table).
 
@@ -230,11 +231,8 @@ class MealyAutomaton:
         return automaton
 
     def _wrap(self, table: "_Table", alphabet: frozenset[Letter], states: frozenset[State]):
-        table.rows = [None] * (2 * len(table.states))
-        object.__setattr__(self, "name", table.name)
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "_table", table)
+        table.rows += [None] * (2 * len(table.states) - len(table.rows))
+        vars(self).update(name=table.name, alphabet=alphabet, states=states, _table=table)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MealyAutomaton):
@@ -402,16 +400,18 @@ class _Table:
     next row. Row indices come only from state_index, so every cell is in range.
 
     Actions step signed states: 2*i is state i, 2*i + 1 its inverse.
-    rows, set when the table is wrapped, holds per signed state s None until
-    s is first stepped, then per letter (output letter, next signed state),
-    None where undefined, or _AMBIGUOUS where an inverse has several
-    candidate transitions."""
+    rows, extended when the table is wrapped, holds per signed state s None
+    until s is first stepped, then per letter (output letter, next signed
+    state), None where undefined, or _AMBIGUOUS where an inverse has several
+    candidate transitions. No row is written after row builds it, so a copy
+    keeps the rows of the table it copies: reduce_dfa_intersection copies
+    a template whose counter rows are all built."""
 
     def __init__(self, name: str, letters: Iterable[Letter], states: Iterable[State] = ()):
         self.name, self.letters, self.states = name, sorted(letters), list(states)
         self.width = len(self.letters)
         cells = len(self.states) * self.width
-        self.outs, self.targets = [-1] * cells, [0] * cells
+        self.outs, self.targets, self.rows = [-1] * cells, [0] * cells, []
         self.letter_index = {a: j for j, a in enumerate(self.letters)}
         self.state_index = {q: i for i, q in enumerate(self.states)}
         self.hint: list[int] | None = None  # minimize's start, set only by _write_checkers
@@ -431,6 +431,14 @@ class _Table:
         self.outs += [-1] * cells
         self.targets += [0] * cells
         return list(index.values())
+
+    def copy(self) -> "_Table":
+        """The same cells and signed rows, in lists of its own; no hint."""
+        new = _Table.__new__(_Table)
+        vars(new).update(vars(self), hint=None, state_index=dict(self.state_index))
+        new.states, new.outs = self.states[:], self.outs[:]
+        new.targets, new.rows = self.targets[:], self.rows[:]
+        return new
 
     def add(self, q: State, a: Letter, b: Letter, p: State) -> None:
         """Write one cell: q emits b on a and moves to p. A later write to

@@ -15,7 +15,9 @@ Two compilers and one independent oracle:
   item: a conditional flipper, whose counter switches z unless the y-block
   arrives all ones, against an unconditional one. The outputs disagree
   exactly on w # 1^r # 1 with w in every language. In the group variant
-  every position reads all three letters.
+  every position reads all three letters. The counters depend on r and the
+  variant alone: a build copies them from a cached template, one of at most
+  16 of a few dozen rows each, and adds the DFA copies.
 
 * reduce_dfa_emptiness turns "is L(A) empty?" into comparing [initial] with
   the empty sequence on an automaton that copies A and swaps 0/1 at final
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 from .errors import MalformedDfa
@@ -101,12 +104,32 @@ def reduce_dfa_intersection(d: DfaList, group_variant: bool = False) -> WordProb
     Equal exactly when the intersection is empty.
 
     Every gadget after the first # is a counter over positions 0..r+2 (see
-    the module docstring), written by chain. The group variant lets every
-    position read all three letters, which makes the automaton a
+    the module docstring), copied from _counters. The group variant lets
+    every position read all three letters, which makes the automaton a
     G-automaton, and constrains inputs to {0,1}* # 1^r # 1, the shape on
     which the construction is meaningful.
     """
-    r = d.r
+    table = _counters(d.r, group_variant).copy()
+    # Per-DFA copies with identity outputs, bridging at # into the bit
+    # gadget: a rejecting run must see its bit as 1 and switches it to 0, an
+    # accepting run checks the 1 and keeps it. The step maps are sorted, so
+    # the table's row order does not depend on string hashing.
+    for k, (acc, steps) in enumerate(zip(d.dfas, d._steps), start=1):
+        for (q, a), p in steps.items():
+            table.add(f"dfa{k}_{q}", a, a, f"dfa{k}_{p}")
+        for q in sorted(acc.states):
+            table.add(f"dfa{k}_{q}", "#", "#", f"kp{k}_0" if q in acc.final else f"sw{k}_0")
+    aut = MealyAutomaton._of(table)
+    copies = [f"dfa{k}_{next(iter(acc.initial))}" for k, acc in enumerate(d.dfas, start=1)]
+    lhs, rhs = StateSequence(["check"] + copies[::-1]), StateSequence(["flip"] + copies[::-1])
+    return WordProblemInstance(aut, lhs, rhs, [_tail_ones(d.r)] if group_variant else [])
+
+
+@lru_cache(maxsize=16)
+def _counters(r: int, group_variant: bool) -> _Table:
+    """The two flippers and the sw and kp counters of r DFAs in the variant,
+    every signed row stepped: counter rows lead only to counter states, so
+    the rows hold in every copy. Nothing writes to it; 16 at most are cached."""
     table = _Table("dfa-isect-group" if group_variant else "dfa-isect", ("0", "1", "#"))
     add, route = table.add, table.route
 
@@ -137,28 +160,16 @@ def reduce_dfa_intersection(d: DfaList, group_variant: bool = False) -> WordProb
     route("flip", "01", "flip")
     route("flip", "#", "flip_0")
     chain("flip", swap=r + 1)
-
-    # Per-DFA copies with identity outputs, bridging at # into the bit
-    # gadget: a rejecting run must see its bit as 1 and switches it to 0, an
-    # accepting run checks the 1 and keeps it. The step maps are sorted, so
-    # the table's row order does not depend on string hashing.
-    for k, (acc, steps) in enumerate(zip(d.dfas, d._steps), start=1):
-        for (q, a), p in steps.items():
-            add(f"dfa{k}_{q}", a, a, f"dfa{k}_{p}")
-        for q in sorted(acc.states):
-            entry = f"kp{k}_0" if q in acc.final else f"sw{k}_0"
-            add(f"dfa{k}_{q}", "#", "#", entry)
+    for k in range(1, r + 1):
         chain(f"sw{k}", swap=k - 1, only1=k - 1)
         chain(f"kp{k}", only1=k - 1)
-
-    aut = MealyAutomaton._of(table)
-
-    copies = [f"dfa{k}_{next(iter(acc.initial))}" for k, acc in enumerate(d.dfas, start=1)]
-    lhs = StateSequence(["check"] + copies[::-1])
-    rhs = StateSequence(["flip"] + copies[::-1])
-    return WordProblemInstance(aut, lhs, rhs, [_tail_ones(r)] if group_variant else [])
+    table.rows = [None] * (2 * len(table.states))
+    for s in range(len(table.rows)):
+        table.row(s)
+    return table
 
 
+@lru_cache(maxsize=16)
 def _tail_ones(r: int) -> Acceptor:
     """The group variant's constraint language {0,1}* # 1^r # 1."""
     trans = [("w0", "0", "w0"), ("w0", "1", "w0"), ("w0", "#", "b0"), (f"b{r}", "#", "c0")]

@@ -16,12 +16,15 @@ from autsg import (
     check_properties,
     decide,
 )
+from autsg.mealy import _Table
 from autsg.reductions import (
     DfaList,
+    _counters,
     dfa_intersection_empty,
     reduce_dfa_emptiness,
     reduce_dfa_intersection,
 )
+from autsg.textio import serialize_instance
 from helpers import W, assert_built_as_from_a_dict, random_dfa, stdout_under_hash_seeds
 
 
@@ -248,6 +251,101 @@ def test_intersection_matches_oracle_on_random_inputs():
             assert_built_as_from_a_dict(inst)
             p = check_properties(inst.automaton)
             assert p.is_g_automaton if group else p.is_s_bar_automaton, (trial, group)
+
+
+# ------------------------------------------------- the counter template
+
+
+def _rows_snapshot(table) -> tuple:
+    """What a template holds, in lists that later writes cannot reach."""
+    rows = [None if row is None else list(row) for row in table.rows]
+    return list(table.states), list(table.outs), list(table.targets), rows
+
+
+@pytest.mark.parametrize("group", [False, True])
+def test_a_build_changes_neither_its_template_nor_an_earlier_build(group):
+    first = reduce_dfa_intersection(DfaList([ZEROS_STAR, ONES_STAR]), group)
+    text, verdict = serialize_instance(first), decide(first)
+    template = _counters(2, group)
+    before = _rows_snapshot(template)
+    second = reduce_dfa_intersection(DfaList([EVEN_ZEROS_ONLY, ODD_LENGTH]), group)
+    assert decide(second).kind == EQUAL and verdict.kind == NOT_EQUAL
+    assert serialize_instance(first) == text and decide(first) == verdict
+    assert _counters(2, group) is template and _rows_snapshot(template) == before
+    # each build has lists of its own, and only the counter rows in common
+    a, b = first.automaton._table, second.automaton._table
+    for attr in ("states", "outs", "targets", "rows", "state_index"):
+        assert getattr(a, attr) is not getattr(b, attr) is not getattr(template, attr)
+    assert a.hint is b.hint is None
+
+
+@pytest.mark.parametrize("group", [False, True])
+def test_every_carried_row_is_the_row_built_afresh(group):
+    # before any step, a build carries every signed row of its counters and
+    # none of its DFA copies; stepped, all its rows, inverted ones included,
+    # equal the rows of the same table built again from its cells (these
+    # automata are inverse-deterministic, so no cell is _AMBIGUOUS)
+    rng = random.Random(20)
+    for trial in range(12):
+        r = rng.randint(1, 6)
+        d = DfaList([random_dfa(rng, f"t{trial}d{k}") for k in range(r)])
+        inst = reduce_dfa_intersection(d, group)
+        table, counters = inst.automaton._table, 2 * len(_counters(r, group).states)
+        assert len(table.rows) == 2 * len(table.states)
+        assert None not in table.rows[:counters]
+        assert table.rows[counters:] == [None] * (len(table.rows) - counters)
+        decide(inst)
+        carried = [table.rows[s] or table.row(s) for s in range(len(table.rows))]
+        fresh = table.copy()
+        fresh.rows = [None] * len(table.rows)
+        assert carried == [fresh.row(s) for s in range(len(table.rows))], (trial, r)
+
+
+def test_the_template_cache_is_bounded_and_every_r_stays_exact():
+    # r = 1..20 in both variants is 40 templates, more than the cache keeps;
+    # the DFAs come from a pool of four, so the product stays small
+    rng, pool = random.Random(6), [ALL_WORDS, ODD_LENGTH, ZEROS_STAR, EVEN_ZEROS_ONLY]
+    verdicts = set()
+    for r in range(1, 21):
+        d = DfaList([rng.choice(pool) for _ in range(r)])
+        want_equal = dfa_intersection_empty(d)
+        verdicts.add(want_equal)
+        for group in (False, True):
+            inst = reduce_dfa_intersection(d, group)
+            assert (decide(inst).kind == EQUAL) == want_equal, (r, group)
+            assert_built_as_from_a_dict(inst)
+            assert _counters.cache_info().currsize <= 16
+    assert verdicts == {False, True}
+
+
+@pytest.mark.parametrize("group", [False, True])
+def test_a_cached_template_leaves_a_build_only_its_dfa_cells(group, monkeypatch):
+    # a silent loss of the template would change no output, only the time:
+    # count what goes through _Table.add and _Table.row
+    added, stepped = [], []
+    add, row = _Table.add, _Table.row
+
+    def spy_add(self, q, a, b, p):
+        added.append(q)
+        add(self, q, a, b, p)
+
+    def spy_row(self, s):
+        stepped.append(self.states[s >> 1])
+        return row(self, s)
+
+    monkeypatch.setattr(_Table, "add", spy_add)
+    monkeypatch.setattr(_Table, "row", spy_row)
+    _counters.cache_clear()
+    reduce_dfa_intersection(DfaList([ZEROS_STAR, ONES_STAR]), group)
+    assert "check" in added and "check" in stepped  # a first build writes the template
+    added.clear(), stepped.clear()
+    d = DfaList([ONES_STAR, ZEROS_STAR])
+    inst = reduce_dfa_intersection(d, group)
+    assert len(added) == 3 * sum(len(acc.states) for acc in d.dfas)
+    assert all(q.startswith("dfa") for q in added)
+    # the witness runs through the counters, whose rows the template carried
+    assert decide(inst).witness == W("#11#1")
+    assert stepped and all(q.startswith("dfa") for q in stepped)
 
 
 # -------------------------------------------------------------- emptiness
