@@ -20,8 +20,8 @@ minimize and the derived automata (invert, union, dual, complete_with_zero)
 fill a table directly: cell by cell with _Table.add, the cells that pass
 their letter on with _Table.route, or in whole rows, as slices of a block
 of rows _Table.block reserves (build_tm_automaton's checker family), and
-wrap it with MealyAutomaton._of; reduce_dfa_intersection adds its cells to
-a _Table.copy of a cached template of counter rows. Names leave a table only as its cells,
+wrap it with MealyAutomaton._of; reduce_dfa_intersection starts from a
+_Table.copy of cached counters. Names leave a table only as its cells,
 sorted by name (_Table.cells): the serializer and the derived automata read
 them, and transitions derives its dict from them (len counts the table).
 

@@ -115,10 +115,11 @@ def reduce_dfa_intersection(d: DfaList, group_variant: bool = False) -> WordProb
     # accepting run checks the 1 and keeps it. The step maps are sorted, so
     # the table's row order does not depend on string hashing.
     for k, (acc, steps) in enumerate(zip(d.dfas, d._steps), start=1):
+        name = {q: f"dfa{k}_{q}" for q in acc.states}
         for (q, a), p in steps.items():
-            table.add(f"dfa{k}_{q}", a, a, f"dfa{k}_{p}")
+            table.add(name[q], a, a, name[p])
         for q in sorted(acc.states):
-            table.add(f"dfa{k}_{q}", "#", "#", f"kp{k}_0" if q in acc.final else f"sw{k}_0")
+            table.add(name[q], "#", "#", f"kp{k}_0" if q in acc.final else f"sw{k}_0")
     aut = MealyAutomaton._of(table)
     copies = [f"dfa{k}_{next(iter(acc.initial))}" for k, acc in enumerate(d.dfas, start=1)]
     lhs, rhs = StateSequence(["check"] + copies[::-1]), StateSequence(["flip"] + copies[::-1])
