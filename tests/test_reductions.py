@@ -275,7 +275,7 @@ def test_a_build_changes_neither_its_template_nor_an_earlier_build(group):
     # each build has lists of its own, and only the counter rows in common
     a, b = first.automaton._table, second.automaton._table
     for attr in ("states", "outs", "targets", "rows", "state_index"):
-        assert getattr(a, attr) is not getattr(b, attr) is not getattr(template, attr)
+        assert len({id(getattr(t, attr)) for t in (a, b, template)}) == 3, attr
     assert a.hint is b.hint is None
 
 
@@ -338,7 +338,8 @@ def test_a_cached_template_leaves_a_build_only_its_dfa_cells(group, monkeypatch)
     _counters.cache_clear()
     reduce_dfa_intersection(DfaList([ZEROS_STAR, ONES_STAR]), group)
     assert "check" in added and "check" in stepped  # a first build writes the template
-    added.clear(), stepped.clear()
+    added.clear()
+    stepped.clear()
     d = DfaList([ONES_STAR, ZEROS_STAR])
     inst = reduce_dfa_intersection(d, group)
     assert len(added) == 3 * sum(len(acc.states) for acc in d.dfas)
