@@ -414,7 +414,6 @@ class _Table:
         self.outs, self.targets, self.rows = [-1] * cells, [0] * cells, []
         self.letter_index = {a: j for j, a in enumerate(self.letters)}
         self.state_index = {q: i for i, q in enumerate(self.states)}
-        self.hint: list[int] | None = None  # minimize's start, set only by _write_checkers
 
     def block(self, names: Iterable[State]) -> list[int]:
         """Reserve the next rows, undefined, for the new states names and
@@ -433,9 +432,9 @@ class _Table:
         return list(index.values())
 
     def copy(self) -> "_Table":
-        """The same cells and signed rows, in lists of its own; no hint."""
+        """The same cells and signed rows, in lists of its own."""
         new = _Table.__new__(_Table)
-        vars(new).update(vars(self), hint=None, state_index=dict(self.state_index))
+        vars(new).update(vars(self), state_index=dict(self.state_index))
         new.states, new.outs = self.states[:], self.outs[:]
         new.targets, new.rows = self.targets[:], self.rows[:]
         return new
@@ -694,11 +693,11 @@ def complete_with_zero(automaton: MealyAutomaton) -> MealyAutomaton:
     return MealyAutomaton._of(table)
 
 
-def _refine(hint: Iterable[int], outs: list[int], targets: list[int], width: int) -> list[int]:
-    """Moore's refinement from equal hint and outputs; classes are numbered as first met."""
+def _refine(n: int, outs: list[int], targets: list[int], width: int) -> list[int]:
+    """Moore's refinement of n states from equal outputs; classes are numbered as first met."""
     pack = Struct(f"{width + 1}i").pack  # keys are bytes, which the collector does not track
     ids: dict = {}
-    keys = zip(hint, *[outs[j::width] for j in range(width)], strict=True)
+    keys = zip([0] * n, *[outs[j::width] for j in range(width)])
     cls = [ids.setdefault(pack(*key), len(ids)) for key in keys]
     del keys  # the output columns go before the target columns come
     # where undefined, the output -1 tells the states apart and the target,
@@ -716,27 +715,19 @@ def _refine(hint: Iterable[int], outs: list[int], targets: list[int], width: int
 def minimize(automaton: MealyAutomaton) -> tuple[MealyAutomaton, dict[State, State]]:
     """The Moore quotient and the class of every state.
 
-    Two stages of one refinement (_refine), an undefined transition counting as
-    an output of its own: the table from its hint joined with its outputs until
-    no class splits, then the quotient by that partition from its outputs alone,
-    its classes pulled back to the states. A stable partition that respects the
-    outputs merges only states that act alike, so any hint gives the exact Moore
-    partition; a poor one costs rounds, not the result. Only _write_checkers
-    sets a hint. Each class is named by its least state name, which class_of
-    maps every state to; the quotient's table is filled from the rows of those
-    least states and keeps the name and the whole alphabet, so constraint
-    acceptors still match it. A state and its class act alike on every word,
-    inverted too: they have the same outputs, so ~q steps ambiguously exactly
-    where ~class_of[q] does. Names and orders do not depend on string hashing."""
+    Moore's refinement over the table from its outputs (_refine), an undefined
+    transition counting as an output of its own. Each class is named by its
+    least state name, which class_of maps every state to; the quotient's table
+    is filled from the rows of those least states and keeps the name and the
+    whole alphabet, so constraint acceptors still match it. A state and its
+    class act alike on every word, inverted too: they have the same outputs,
+    so ~q steps ambiguously exactly where ~class_of[q] does. Names and orders
+    do not depend on string hashing."""
     table = automaton._table
     letters, states, outs, targets = table.letters, table.states, table.outs, table.targets
-    width, every = table.width, range(len(states))
-    cls = _refine([0] * len(states) if table.hint is None else table.hint, outs, targets, width)
-    some = dict(zip(cls, every)).values()  # a state of each class, in class order
-    cells = [k for i in some for k in range(i * width, (i + 1) * width)]
-    merged = [outs[k] for k in cells], [cls[targets[k]] for k in cells]
-    cls = list(map(_refine([0] * len(some), *merged, width).__getitem__, cls))
-    order = sorted(every, key=states.__getitem__)
+    width = table.width
+    cls = _refine(len(states), outs, targets, width)
+    order = sorted(range(len(states)), key=states.__getitem__)
     least: dict[int, int] = {}  # class -> its least state, in the order of those
     for i in order:
         least.setdefault(cls[i], i)

@@ -37,7 +37,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .errors import (
     LeftEdgeViolated,
@@ -82,7 +82,7 @@ def split_head(token: str) -> tuple[str, str] | None:
 class TuringMachineSpec:
     """A single-tape machine that never halts: missing rules are completed
     to stay-put self-loops on construction. Acceptance is entering a state
-    in finals; the machine keeps running afterwards."""
+    in finals at some step t >= 1; the machine keeps running afterwards."""
 
     name: str
     tape_alphabet: frozenset[str]
@@ -231,6 +231,8 @@ def initial_configuration(
 
 @dataclass(frozen=True)
 class SimulationResult:
+    """trace[t] is the configuration after t steps; accepts_within counts from step 1."""
+
     accepts_within: int | None
     trace: tuple[tuple[str, ...], ...]
 
@@ -268,21 +270,17 @@ def simulate_tm(
     tm: TuringMachineSpec, params: TmReductionParams, max_steps: int
 ) -> SimulationResult:
     """Direct configuration-by-configuration run for max_steps steps.
-    accepts_within is the first trace index whose configuration carries a
-    final-state head, if any."""
+    accepts_within is the first trace index t >= 1 whose configuration
+    carries a final-state head, if any: a final initial state alone is no
+    acceptance, as encode_computation's words start at c1."""
     _validate_input_word(tm, params)
     cfg = initial_configuration(tm, params)
     trace = [cfg]
     for _ in range(max_steps):
         cfg = _step(tm, cfg)
         trace.append(cfg)
-    accepts = None
-    for t, c in enumerate(trace):
-        head = split_head(c[_head_position(c)])
-        if head[1] in tm.finals:
-            accepts = t
-            break
-    return SimulationResult(accepts, tuple(trace))
+    finals = (t for t, c in enumerate(trace) if split_head(c[_head_position(c)])[1] in tm.finals)
+    return SimulationResult(next((t for t in finals if t), None), tuple(trace))
 
 
 def encode_computation(
@@ -327,14 +325,20 @@ def checker_family_size(n_delta: int) -> int:
 
 def build_tm_automaton(tm: TuringMachineSpec, params: TmReductionParams) -> MealyAutomaton:
     """The full reduction automaton over sigma = Delta + {0,1,#,$}, the
-    whole checker family included, unreachable states too (minimize gives
-    its Moore quotient, from the table's hint). One _Table holds it: the few
-    dozen other states first, a row each as named (route fills pass-through
-    cells, add the counter digits, tail each suffix reader 0^k $ 0), then the
-    checker family as row blocks and the hint (_write_checkers). _of wraps
-    it, so its transitions dict is derived only if read. The group variant
-    completes the named rows, writes the blocks complete and checks the
-    G-automaton class on the whole table; failure raises NotGAutomaton."""
+    whole checker family included, one chk row per window and lower pair,
+    unreachable states too (minimize gives its Moore quotient)."""
+    return _build(tm, params, tuple)[0]  # each window is its own key
+
+
+def _build(tm: TuringMachineSpec, params: TmReductionParams, key: Callable) -> tuple:
+    """build_tm_automaton with the chk rows of one window key shared, and
+    _write_checkers' map from each checker_entry name to its row. One _Table
+    holds it: the few dozen other states first, a row each as named (route
+    fills pass-through cells, add the counter digits, tail each suffix reader
+    0^k $ 0), then the checker family as row blocks. _of wraps it, so its
+    transitions dict is derived only if read. The group variant completes
+    the named rows, writes the blocks complete and checks the G-automaton
+    class on the whole table; failure raises NotGAutomaton."""
     delta, sigma, group = delta_alphabet(tm), sigma_alphabet(tm), params.group_variant
     table = _Table(f"tm-{tm.name}-group" if group else f"tm-{tm.name}", sigma)
     add, route = table.add, table.route
@@ -404,28 +408,37 @@ def build_tm_automaton(tm: TuringMachineSpec, params: TmReductionParams) -> Meal
         _complete_rows(table, table.state_index[SINK_STATE])
 
     # --- checkers, last: the blocks then size the table's lists exactly
-    _write_checkers(table, tm, group)
+    entry = _write_checkers(table, tm, group, key)
     if group:
         _check_group_rows(table)
-    return MealyAutomaton._of(table)
+    return MealyAutomaton._of(table), entry
 
 
-def _write_checkers(table: _Table, tm: TuringMachineSpec, group: bool) -> None:
+def _write_checkers(table: _Table, tm: TuringMachineSpec, group: bool, key: Callable) -> dict:
     """The checker family as three blocks of whole rows: skipc|x|y|z per
-    window over delta, then chk0 and chk1 per window and lower pair (l1, l2)
-    over ('', *delta), named chk<tag>|x|y|z|l1|l2. A row's index is computed
-    from its coordinates' delta indices, and its targets are read off the
-    blocks' index lists (shared ints); d1, bump0, bump1 and the sink are rows
-    already. Group-variant rows are written complete: no completion reads them.
-    A chk row reads w only through tau(w): the table's hint for minimize gives
-    those of one (tag, tau(w), l1, l2) the first one's index, others their own."""
-    delta, tau, si = delta_alphabet(tm), derive_tau(tm), table.state_index
+    window over delta, then chk0 and chk1 per window key and lower pair
+    (l1, l2) over ('', *delta). A chk row reads its window w only through
+    tau(w), so the windows of one key, which must fix tau(w), share their
+    rows, named chk<tag>|x|y|z|l1|l2 by the least such name among them. A
+    row's index is computed from its coordinates' delta indices, and its
+    targets are read off the blocks' index lists (shared ints); d1, bump0,
+    bump1 and the sink are rows already. Group-variant rows are written
+    complete: no completion reads them. Returns the map from each
+    checker_entry name to the chk1 row that stands for it."""
+    delta, si = delta_alphabet(tm), table.state_index
     n, width, outs, targets = len(delta), table.width, table.outs, table.targets
-    windows = ["|".join(w) for w in itertools.product(delta, repeat=3)]
+    windows = list(itertools.product(delta, repeat=3))
+    ids: dict = {}
+    of = [ids.setdefault(key(w), len(ids)) for w in windows]  # window -> its key's index
+    evolved = list(dict(zip(of, map(derive_tau(tm).get, windows))).values())  # per key
+    names = ["|".join(w) for w in windows]
+    # key -> its member with the least w + "|", the last one written; that is
+    # no other's prefix, so its name chk<tag>|w|l1|l2 is the least for any tag and pair
+    least = dict(sorted(zip(of, names), key=lambda cw: cw[1] + "|", reverse=True))
     pairs = [f"{l1}|{l2}" for l1 in ("", *delta) for l2 in ("", *delta)]
-    skip = table.block([f"skipc|{w}" for w in windows])
-    chk0 = table.block([f"chk0|{w}|{p}" for w in windows for p in pairs])
-    chk1 = table.block([f"chk1|{w}|{p}" for w in windows for p in pairs])
+    skip = table.block([f"skipc|{w}" for w in names])
+    chk0 = table.block([f"chk0|{least[c]}|{p}" for c in range(len(ids)) for p in pairs])
+    chk1 = table.block([f"chk1|{least[c]}|{p}" for c in range(len(ids)) for p in pairs])
     # a row is listed for delta, 0, 1, # and $, then gathered into letter order
     order = (*delta, "0", "1", "#", "$")
     gather = itemgetter(*map(order.index, table.letters))
@@ -441,24 +454,21 @@ def _write_checkers(table: _Table, tm: TuringMachineSpec, group: bool) -> None:
 
     blank, wide = delta.index(tm.blank), len(pairs)
     for w, s in enumerate(skip):
-        row(s, every, [s] * n, s, s, chk1[w * wide], d1)
-    evolved = [tau.get(window) for window in itertools.product(delta, repeat=3)]
-    first: dict = {}
-    lead = [first.setdefault(key, i) for i, key in enumerate(itertools.product(evolved, pairs))]
-    table.hint = [*si.values()][:chk0[0]] + [c[i] for c in (chk0, chk1) for i in lead]
+        row(s, every, [s] * n, s, s, chk1[of[w] * wide], d1)
     for i, (c0, c1) in enumerate(zip(chk0, chk1)):
-        w, l1, l2 = i // wide, i // (n + 1) % (n + 1), i % (n + 1)
-        lo = w * wide + l2 * (n + 1) + 1  # chk0 of (window, l2, delta[0])
+        c, l1, l2 = i // wide, i // (n + 1) % (n + 1), i % (n + 1)
+        lo = c * wide + l2 * (n + 1) + 1  # chk0 of (key, l2, delta[0])
         row(c1, c1_outs, chk0[lo:lo + n], c1, c1, c1_end, c1_end)
         # the first unmarked cell has been located: its symbol is l2, which
         # must match the stored window's evolution
-        if l2 and delta[l2 - 1] == evolved[w]:
+        if l2 and delta[l2 - 1] == evolved[c]:
             lo = ((l1 - 1 if l1 else blank) * n + l2 - 1) * n  # skipc of (left, l2, delta[0])
-            row(c0, every, skip[lo:lo + n], c0, c1, chk1[(lo + blank) * wide], d1)
+            row(c0, every, skip[lo:lo + n], c0, c1, chk1[of[lo + blank] * wide], d1)
         elif group:
             row(c0, every, fail[:1] * n, c0, c1, *fail)
         else:
             row(c0, digits, [0] * n, c0, c1, 0, 0)
+    return {checker_entry(w): table.states[chk1[c * wide]] for w, c in zip(windows, of)}
 
 
 def _complete_rows(table: _Table, sink: int) -> None:
@@ -520,26 +530,23 @@ def reduce_tm(tm: TuringMachineSpec, params: TmReductionParams) -> WordProblemIn
 
     Inverse-semigroup variant: [e, q_l, (check-mark, checker) * p_val, q_c]
     against the same without e. Group variant: [e] + pairs against the
-    pairs, constrained to the structured-word language."""
+    pairs, constrained to the structured-word language. The automaton is
+    the literal one of build_tm_automaton."""
+    return _reduce(tm, params, tuple)
+
+
+def _reduce(tm: TuringMachineSpec, params: TmReductionParams, key: Callable) -> WordProblemInstance:
+    """reduce_tm over the automaton whose chk rows are shared by the windows
+    of one key (_build); each checker item is the row that stands for it."""
     _validate_input_word(tm, params)
-    aut = build_tm_automaton(tm, params)
-    c0 = initial_configuration(tm, params)
-    p = params.p_val
-    blank = tm.blank
+    aut, entry = _build(tm, params, key)
+    cells = (tm.blank, *initial_configuration(tm, params), tm.blank)
     pairs: list[str] = []
-    for i in range(p - 1, -1, -1):
-        left = c0[i - 1] if i > 0 else blank
-        right = c0[i + 1] if i < p - 1 else blank
-        pairs.append(CHECK_MARK_STATE)
-        pairs.append(checker_entry((left, c0[i], right)))
+    for i in range(params.p_val, 0, -1):  # c0's windows, the last cell's first
+        pairs += [CHECK_MARK_STATE, entry[checker_entry(cells[i - 1:i + 2])]]
     if params.group_variant:
-        lhs = [PROBE_ENTRY] + pairs
-        rhs = list(pairs)
-        constraints = [structured_words_acceptor(tm, params)]
+        rhs, constraints = pairs, [structured_words_acceptor(tm, params)]
     else:
-        lhs = [PROBE_ENTRY, FULL_ENTRY] + pairs + [FORM_ENTRY]
-        rhs = [FULL_ENTRY] + pairs + [FORM_ENTRY]
-        constraints = []
-    return WordProblemInstance(
-        aut, StateSequence(lhs), StateSequence(rhs), constraints
-    )
+        rhs, constraints = [FULL_ENTRY, *pairs, FORM_ENTRY], []
+    lhs = [PROBE_ENTRY, *rhs]
+    return WordProblemInstance(aut, StateSequence(lhs), StateSequence(rhs), constraints)

@@ -759,19 +759,6 @@ def test_minimize_keeps_every_action(aut, data):
             assert got == renamed(_outcome(lambda: act_word(aut, items, word)), class_of)
 
 
-@given(automata(max_states=6), st.data())
-def test_minimize_ignores_a_poor_hint(aut, data):
-    # any hint refined until stable gives the Moore partition; a hint of
-    # the wrong length is refused
-    quotient, class_of = minimize(aut)
-    n = len(aut.states)
-    aut._table.hint = data.draw(st.lists(st.integers(-2, 3), min_size=n, max_size=n))
-    assert minimize(aut) == (quotient, class_of)
-    aut._table.hint = data.draw(st.lists(st.integers(0, 3)).filter(lambda h: len(h) != n))
-    with pytest.raises(ValueError):
-        minimize(aut)
-
-
 @given(automata())
 def test_minimize_is_idempotent(aut):
     quotient, _ = minimize(aut)

@@ -276,7 +276,6 @@ def test_a_build_changes_neither_its_template_nor_an_earlier_build(group):
     a, b = first.automaton._table, second.automaton._table
     for attr in ("states", "outs", "targets", "rows", "state_index"):
         assert len({id(getattr(t, attr)) for t in (a, b, template)}) == 3, attr
-    assert a.hint is b.hint is None
 
 
 @pytest.mark.parametrize("group", [False, True])

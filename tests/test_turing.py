@@ -17,19 +17,18 @@ from autsg.cli import run
 from autsg.errors import LeftEdgeViolated, NotGAutomaton, SpaceBoundViolated
 from autsg.mealy import (
     Defined,
+    MealyAutomaton,
+    SignedState,
     UndefinedAt,
     _Table,
     acceptor_accepts,
     act_word,
     check_properties,
-    complete_with_zero,
-    dual,
-    invert,
     minimize,
-    union,
 )
-from autsg.textio import parse_text, serialize_automaton, serialize_tm
+from autsg.textio import parse_text, serialize_instance, serialize_tm
 from autsg.turing import (
+    MOVES,
     TmReductionParams,
     TuringMachineSpec,
     _check_group_rows,
@@ -44,9 +43,10 @@ from autsg.turing import (
     reduce_tm,
     sigma_alphabet,
     simulate_tm,
+    split_head,
     structured_words_acceptor,
 )
-from autsg.wordproblem import NOT_EQUAL, WordProblemInstance, decide
+from autsg.wordproblem import EQUAL, NOT_EQUAL, WordProblemInstance, decide
 
 from helpers import SMALL_DELTA_MACHINES, TINY, assert_built_as_from_a_dict, renamed
 
@@ -171,8 +171,18 @@ def test_simulate_immediate_accept():
 
 
 def test_simulate_accepts_at_step_zero():
+    # acceptance is entering a final state, counted from step 1: the
+    # encoding c1 # ... # cT has no c0, so a final initial state is no
+    # acceptance until the machine enters a final state again
     tm = TuringMachineSpec("triv", ["_"], "_", ["z0"], "z0", ["z0"], {})
-    assert simulate_tm(tm, TmReductionParams(p_val=1), 0).accepts_within == 0
+    assert simulate_tm(tm, TmReductionParams(p_val=1), 0).accepts_within is None
+    assert simulate_tm(tm, TmReductionParams(p_val=1), 1).accepts_within == 1
+    # final only at step 0: z0 steps to z1 on both letters and z1 stays put
+    leaves = {("z0", g): (g, "z1", "N") for g in "_a"}
+    tm = TuringMachineSpec("leave", ["_", "a"], "_", ["z0", "z1"], "z0", ["z0"], leaves)
+    assert simulate_tm(tm, TmReductionParams(p_val=2), 20).accepts_within is None
+    for group in (False, True):
+        assert decide(reduce_tm(tm, TmReductionParams(p_val=2, group_variant=group))).kind == EQUAL
 
 
 def test_simulate_scanner():
@@ -356,21 +366,29 @@ def test_group_completion_fails_the_check_on_a_repeated_output():
 
 
 def test_reduce_tm_derives_no_literal_transitions(tmp_path, monkeypatch, capsys):
-    # the 21k-state automaton is built, checked and minimized on its rows:
-    # only the quotient's cells are ever named, to print it
-    derived = []
-    cells = _Table.cells
+    # the automaton is built with one chk row per tau class, checked and
+    # minimized on its rows: no table it makes comes near the literal 21k
+    # rows, and only the quotient's cells are ever named, to print it
+    derived, wrapped = [], []
+    cells, of = _Table.cells, MealyAutomaton._of.__func__
 
     def spy(table):
         derived.append(len(table.states))
         return cells(table)
 
+    def spy_of(cls, table):
+        wrapped.append(len(table.states))
+        return of(cls, table)
+
     monkeypatch.setattr(_Table, "cells", spy)
+    monkeypatch.setattr(MealyAutomaton, "_of", classmethod(spy_of))
     f = tmp_path / "scan.tm"
     f.write_text(serialize_tm(SCANNER), encoding="utf-8")
-    assert run(["reduce", "tm", str(f), "--space", "3", "--input", "a", "a", "--group"]) == 0
-    assert capsys.readouterr().out
-    assert len(derived) == 1 and derived[0] < 100
+    for variant in ([], ["--group"]):
+        assert run(["reduce", "tm", str(f), "--space", "3", "--input", "a", "a", *variant]) == 0
+        assert capsys.readouterr().out
+    assert len(derived) == 2 and max(derived) < 100
+    assert len(wrapped) == 4 and max(wrapped) <= 1000
 
 
 def test_group_build_checks_tokens_and_completes_rows_in_bulk(monkeypatch):
@@ -603,78 +621,85 @@ def test_quotient_instance_keeps_the_verdict(tm, inputs, p, group):
     assert decide(small) == decide(inst)
 
 
-# --- the construction's hint for minimize -----------------------------------
+# --- reduce tm against the literal reduction and the machine ---------------
 
 
-def _minimized(automaton):
-    quotient, class_of = minimize(automaton)
-    return serialize_automaton(quotient), class_of
+def _random_machine(rng, name, tape, states):
+    """1-2 states over the given tape, some rules left to the stay-put
+    completion; the initial state may be final."""
+    states = rng.sample(states, rng.randint(1, 2))
+    rules = {
+        (z, g): (rng.choice(tape), rng.choice(states), rng.choice(MOVES))
+        for z in states
+        for g in tape
+        if rng.random() < 0.8
+    }
+    finals = [z for z in states if rng.random() < 0.3]
+    return TuringMachineSpec(name, tape, tape[0], states, states[0], finals, rules)
 
 
-def test_no_hint_changes_the_quotient():
-    # minimize refines any hint into a stable partition that respects the
-    # outputs, which merges only states that act alike: a poor hint costs
-    # rounds, never the result
-    params = TmReductionParams(p_val=3, input_word=("a", "a"), group_variant=True)
-    aut = build_tm_automaton(SCANNER, params)
-    table, n, rng = aut._table, len(aut.states), random.Random(19)
-    hinted = _minimized(aut)
-    table.hint = None
-    assert _minimized(aut) == hinted
-    for hint in ([0] * n, list(range(n)), [rng.randrange(7) for _ in range(n)]):
-        table.hint = hint
-        assert _minimized(aut) == hinted
-    # the other variant's hint is one per state of a table six states smaller:
-    # refused, not cut to fit
-    inverse = TmReductionParams(p_val=3, input_word=("a", "a"))
-    table.hint = build_tm_automaton(SCANNER, inverse)._table.hint
-    assert len(table.hint) == n - 6
-    with pytest.raises(ValueError):
-        minimize(aut)
-
-
-@pytest.mark.parametrize("group", [False, True], ids=["inverse", "group"])
-@pytest.mark.parametrize("tm,inp", [(SCANNER, ("a", "a")), (LOOPER, ())], ids=["scan", "looper"])
-def test_reduce_tm_starts_minimize_from_the_construction_hint(
-    tm, inp, group, tmp_path, monkeypatch, capsys
-):
-    # a lost hint would change no output byte, only the time: reduce tm
-    # refines the whole table from the construction's hint, which ends with
-    # as many classes as the hint has, so its first round over the whole
-    # table split none and was its only one; the quotient then starts from
-    # its outputs alone
-    calls = []
-    refine = mealy._refine
-
-    def spy(hint, outs, targets, width):
-        hint = list(hint)
-        classes = refine(hint, outs, targets, width)
-        calls.append((hint, len(set(classes))))
-        return classes
-
-    monkeypatch.setattr(mealy, "_refine", spy)
+def _reduce_tm_stdout(tm, params, tmp_path, capsys):
     f = tmp_path / f"{tm.name}.tm"
     f.write_text(serialize_tm(tm), encoding="utf-8")
-    argv = ["reduce", "tm", str(f), "--space", "3", "--input", *inp] + ["--group"] * group
-    assert run(argv) == 0 and capsys.readouterr().out
-    params = TmReductionParams(p_val=3, input_word=inp, group_variant=group)
-    built = build_tm_automaton(tm, params)._table.hint
-    (hint, classes), (zeros, minimal) = calls
-    assert hint == built and classes == len(set(built)) == 932 + 6 * group
-    assert set(zeros) == {0} and len(zeros) == classes
-    assert minimal == CLASSES[tm.name, group]
+    argv = ["reduce", "tm", str(f), "--space", str(params.p_val), "--input", *params.input_word]
+    assert run(argv + ["--group"] * params.group_variant) == 0
+    return capsys.readouterr().out
 
 
-def test_only_the_construction_sets_a_hint():
-    aut = build_tm_automaton(TINY, TmReductionParams(p_val=1, group_variant=True))
-    assert len(aut._table.hint) == len(aut.states)
-    derived = (invert(aut), dual(aut), union(aut, aut), complete_with_zero(aut), minimize(aut)[0])
-    assert all(other._table.hint is None for other in derived)
+def test_reduce_tm_prints_the_quotient_of_the_literal_reduction(tmp_path, capsys):
+    # reduce tm writes one chk row per tau class and names it by the least
+    # literal name among its windows; the reference minimizes the literal
+    # automaton. Names that sort before and after "|" ("x{", "b}", "a~")
+    # make the least window string differ from the least row name.
+    rng = random.Random(21)
+    for trial in range(48):
+        tape = rng.sample(["_", "a", "b}", "a~", "x{"], 2)
+        tm = _random_machine(rng, f"m{trial}", tape, ["z0", "b}", "a~", "x{"])
+        p, group = 1 + trial % 3, trial // 3 % 2 == 1
+        word = tuple(rng.choices(tape[1:], k=rng.randint(0, p)))
+        params = TmReductionParams(p_val=p, input_word=word, group_variant=group)
+        inst = reduce_tm(tm, params)
+        quotient, class_of = minimize(inst.automaton)
+        lhs, rhs = (
+            [SignedState(class_of[s.base], s.inverted) for s in seq] for seq in (inst.lhs, inst.rhs)
+        )
+        want = serialize_instance(WordProblemInstance(quotient, lhs, rhs, inst.constraints))
+        assert _reduce_tm_stdout(tm, params, tmp_path, capsys) == want, (tm, params)
 
 
-def test_a_literal_parsed_back_minimizes_as_the_hinted_build():
-    # the parser fills a table of its own, with no hint: Moore from the outputs
-    built = build_tm_automaton(SCANNER, TmReductionParams(p_val=3, input_word=("a", "a")))
-    literal = parse_text(serialize_automaton(built)).automata[built.name]
-    assert literal._table.hint is None and built._table.hint is not None
-    assert _minimized(literal) == _minimized(built)
+def _first_acceptance(tm, params):
+    """The first step T >= 1 that enters a final state, or None if the
+    machine leaves the space first or repeats a configuration before one:
+    p * |Q| * 2^p configurations fit in the space over {_, a}."""
+    cfg = initial_configuration(tm, params)
+    for t in range(1, params.p_val * len(tm.states) * 2**params.p_val + 2):
+        try:
+            cfg = turing._step(tm, cfg)
+        except (SpaceBoundViolated, LeftEdgeViolated):
+            return None
+        if any(split_head(c)[1] in tm.finals for c in cfg if ":" in c):
+            return t
+    return None
+
+
+def test_reduce_tm_decides_as_the_machine_runs(tmp_path, capsys):
+    # the verdict on the printed quotient is NotEqual exactly when the
+    # machine accepts within the space; a group witness is the encoding of
+    # that run, while the inverse variant's may be shorter (its shape
+    # checker q_c does not pin block widths), so only its verdict is compared
+    rng = random.Random(5)
+    accepting = 0
+    for trial in range(100):
+        tm = _random_machine(rng, f"d{trial}", ["_", "a"], ["z0", "z1"])
+        p = rng.randint(1, 3)
+        word = ("a",) * rng.randint(0, p)
+        T = _first_acceptance(tm, TmReductionParams(p_val=p, input_word=word))
+        accepting += T is not None
+        for group in (False, True):
+            params = TmReductionParams(p_val=p, input_word=word, group_variant=group)
+            doc = parse_text(_reduce_tm_stdout(tm, params, tmp_path, capsys))
+            v = decide(doc.resolve(doc.instances[0]))
+            assert v.kind == (EQUAL if T is None else NOT_EQUAL), (tm, params, T)
+            if group and T is not None:
+                assert v.witness == encode_computation(tm, params, T), (tm, params)
+    assert 0 < accepting < 100
