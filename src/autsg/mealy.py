@@ -23,14 +23,14 @@ of rows _Table.block reserves (build_tm_automaton's checker family), and
 wrap it with MealyAutomaton._of; reduce_dfa_intersection starts from a
 _Table.copy of cached counters. Names leave a table only as its cells,
 sorted by name (_Table.cells): the serializer and the derived automata read
-them, and transitions derives its dict from them (len counts the table).
+them, and transitions derives its dict from them.
 
 This module owns the two stepping kernels the rest of the package uses:
 _thread, how a sequence of signed states consumes one letter, on signed
-rows the _Table fills as states are first stepped (behind act_step,
-act_word and the word-problem search), and _subset_step, how a constraint
-acceptor's state subset reads one letter (behind acceptor_accepts and the
-search).
+rows the _Table fills as states are first stepped (behind act_word, which
+act_step calls, and the word-problem search), and _subset_step, how a
+constraint acceptor's state subset reads one letter (behind
+acceptor_accepts and the search).
 
 _gc_paused runs a function with CPython's cyclic garbage collector off and
 switches it back on when the function returns or raises. It wraps only the
@@ -39,11 +39,11 @@ collection rescans tables that hold no reference cycles and frees nothing:
 parse_file and parse_text in textio (unpaused, the 10.7 MB literal Scanner
 group instance takes about 1,200 collections and 0.4 s longer) and the
 search behind decide and oracle_decide (about 280 collections at
-separation n = 16). minimize keeps one key per class and starts no
-collection on the machine tables, and a paused derivation of transitions
-pays as much in the one collection that follows, so both run unpaused, as
-do the builders that fill lists of ints, which the collector does not
-track. The pause is process-wide: it covers other threads while it lasts,
+separation n = 16). minimize started no collection on the p = 3 machine
+tables, the 932- and 938-row ones of reduce tm or the 21k-row literal ones,
+and a paused derivation of transitions pays as much in the one collection
+that follows, so both run unpaused, as do the builders that fill lists of
+ints, which the collector does not track. The pause is process-wide: it covers other threads while it lasts,
 and one that was already off stays off. A generator function is refused,
 because the pause would last for as long as it is suspended.
 """
@@ -54,7 +54,7 @@ import gc
 import inspect
 from dataclasses import dataclass
 from functools import cached_property, wraps
-from struct import Struct
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import (
@@ -187,9 +187,9 @@ class MealyAutomaton:
     read-only. Determinism is inherent to the representation; completeness
     is not required. Instances are immutable and safe to share. Every
     automaton keeps only its integer table, whether built from a dict or
-    wrapped from a filled _Table by _of, and derives transitions from its
-    cells when read; the dict it was built from is not kept, so changing it
-    later changes nothing here.
+    wrapped from a filled _Table by _of, until transitions is first read,
+    which derives their dict from its cells and keeps it; the dict it was
+    built from is not kept, so changing it later changes nothing here.
     """
 
     name: str
@@ -255,10 +255,16 @@ class MealyAutomaton:
             and self.transitions.items() == other.transitions.items()
         )
 
-    @cached_property
+    @property
     def transitions(self) -> Mapping[tuple[State, Letter], tuple[Letter, State]]:
-        """A view of the table's cells; see _RowTransitions."""
-        return _RowTransitions(self._table)
+        """A read-only view of _transitions. The view is not cached: it
+        cannot be pickled or copied, and the automaton can."""
+        return MappingProxyType(self._transitions)
+
+    @cached_property
+    def _transitions(self) -> dict[tuple[State, Letter], tuple[Letter, State]]:
+        """The table's cells as a dict, derived on first read."""
+        return {(q, a): (b, p) for q, a, b, p in self._table.cells()}
 
 
 @dataclass(frozen=True)
@@ -356,35 +362,7 @@ def acceptor_accepts(acc: Acceptor, word: Iterable[Letter] | str) -> bool:
     return bool(cur & acc.final)
 
 
-class _RowTransitions(Mapping):
-    """The read-only transitions of an automaton. Its length is counted off
-    the integer table; the first other read derives the dict from the
-    table's cells, the one way names leave it, and later reads use it."""
-
-    def __init__(self, table: "_Table"):
-        self._table = table
-
-    @cached_property
-    def _dict(self) -> dict[tuple[State, Letter], tuple[Letter, State]]:
-        return {(q, a): (b, p) for q, a, b, p in self._table.cells()}
-
-    def __len__(self) -> int:
-        return len(self._table.outs) - self._table.outs.count(-1)
-
-    def __getitem__(self, key):
-        return self._dict[key]
-
-    def __iter__(self):
-        return iter(self._dict)
-
-    def items(self):
-        return self._dict.items()
-
-    def copy(self) -> dict[tuple[State, Letter], tuple[Letter, State]]:
-        return self._dict.copy()
-
-
-_AMBIGUOUS = object()
+_AMBIGUOUS = Ellipsis  # a singleton, so pickled and copied rows keep it
 
 
 class _Table:
@@ -544,13 +522,8 @@ def act_step(
     is ill-defined and NotInverseDeterministic is raised. Returns None where
     the (partial) map is undefined.
     """
-    item = _coerce_item(state)
-    if letter not in automaton.alphabet:
-        raise UnknownLetter(f"{letter!r} is not a letter of {automaton.name}")
-    table = automaton._table
-    items = [table.signed(item)]
-    out = _thread(table, items, table.letter_index[letter])
-    return None if out is None else (table.letters[out], table.item(items[0]))
+    result = act_word(automaton, [state], [letter])
+    return None if isinstance(result, UndefinedAt) else (result.output[0], result.final[0])
 
 
 def act_word(
@@ -694,19 +667,20 @@ def complete_with_zero(automaton: MealyAutomaton) -> MealyAutomaton:
 
 
 def _refine(n: int, outs: list[int], targets: list[int], width: int) -> list[int]:
-    """Moore's refinement of n states from equal outputs; classes are numbered as first met."""
-    pack = Struct(f"{width + 1}i").pack  # keys are bytes, which the collector does not track
+    """Moore's refinement of n states from equal outputs; classes are numbered
+    as first met. A state's key is a tuple of ints: first 0 and its output per
+    letter (the 0 keeps n keys when there are no letters), then each round its
+    class and its target's class per letter."""
     ids: dict = {}
     keys = zip([0] * n, *[outs[j::width] for j in range(width)])
-    cls = [ids.setdefault(pack(*key), len(ids)) for key in keys]
-    del keys  # the output columns go before the target columns come
+    cls = [ids.setdefault(key, len(ids)) for key in keys]
     # where undefined, the output -1 tells the states apart and the target,
     # state 0, is never the only difference
     columns = [targets[j::width] for j in range(width)]  # per letter, every state's target
     count = 0
     while len(ids) != count:  # a round that splits no class is stable
         count = len(ids)
-        keys = map(pack, cls, *[map(cls.__getitem__, col) for col in columns])
+        keys = zip(cls, *[map(cls.__getitem__, col) for col in columns])
         ids = {}
         cls = [ids.setdefault(key, len(ids)) for key in keys]
     return cls

@@ -7,6 +7,8 @@ by the binary-increment reading) and frozen here.
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 import sys
 import tracemalloc
@@ -98,6 +100,16 @@ def test_act_step_validation():
         act_step(ADDING, "+1", "2")
     with pytest.raises(UnknownState):
         act_step(ADDING, "+2", "0")
+
+
+def test_act_step_checks_the_state_before_the_letter():
+    # act_step is act_word on one item and one letter, so with both unknown
+    # it names the state, as act_word does
+    for act_one in (act_step, lambda aut, q, a: act_word(aut, [q], [a])):
+        with pytest.raises(UnknownState, match="'\\+2' is not a state of adding"):
+            act_one(ADDING, "+2", "2")
+        with pytest.raises(UnknownState):
+            act_one(ADDING, SignedState("+2", True), "2")
 
 
 # ---------------------------------------------------------------- act_word
@@ -451,6 +463,23 @@ def test_transitions_are_read_only():
     assert act_word(a, ["+1"], "0") == Defined(("1",), S("+0"))
 
 
+def test_an_automaton_whose_transitions_were_read_pickles_and_copies():
+    # the read-only view is made on every read and never kept on the
+    # automaton, since a mappingproxy can be neither pickled nor copied; the
+    # signed rows built so far go along, an ambiguous step included
+    ambiguous = [SignedState("a", True)]
+    for aut in (build_gadget("free"), rebuilt_with_add(FREE)):
+        assert len(aut.transitions) == 4
+        with pytest.raises(NotInverseDeterministic):
+            act_word(aut, ambiguous, "a")
+        for twin in (pickle.loads(pickle.dumps(aut)), copy.copy(aut), copy.deepcopy(aut)):
+            assert twin == aut and aut == twin
+            assert dict(twin.transitions) == dict(aut.transitions)
+            assert act_word(twin, S("a", "~b"), "ab") == act_word(aut, S("a", "~b"), "ab")
+            with pytest.raises(NotInverseDeterministic):
+                act_word(twin, ambiguous, "a")
+
+
 def test_token_errors_do_not_depend_on_string_hashing():
     # several bad tokens: the first one given is the one named, whatever
     # order a set would iterate them in
@@ -540,9 +569,9 @@ def test_minimize_without_letters_or_states():
     assert class_of == {} and quotient.states == frozenset()
 
 
-def test_rows_count_their_transitions_without_deriving_them():
+def test_rows_derive_their_transitions_on_first_read():
     # built through _Table.add, from a dict or by the parser, an automaton
-    # keeps only its table until transitions are read
+    # keeps only its table until transitions are read, then keeps their dict
     text = serialize_automaton(ADDING)
     for make in (
         lambda: rebuilt_with_add(ADDING),
@@ -550,8 +579,8 @@ def test_rows_count_their_transitions_without_deriving_them():
         lambda: parse_text(text).automata[ADDING.name],
     ):
         aut = make()
-        assert "transitions" not in vars(aut)
-        assert len(aut.transitions) == 4 and "_dict" not in vars(aut.transitions)
+        assert "_transitions" not in vars(aut)
+        assert len(aut.transitions) == 4 and "_transitions" in vars(aut)
         assert dict(aut.transitions) == dict(ADDING.transitions)
         assert aut.transitions.copy() == dict(ADDING.transitions)
 
@@ -562,7 +591,7 @@ def test_derived_automata_and_the_serializer_derive_no_transitions():
     for read in (complete_with_zero, dual, lambda a: union(a, a), serialize_automaton):
         source = build_gadget("adding")
         read(source)
-        assert "transitions" not in vars(source)
+        assert "_transitions" not in vars(source)
 
 
 def test_cells_leave_the_table_sorted_by_name():
