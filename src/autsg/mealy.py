@@ -38,14 +38,14 @@ entry points that keep many new containers alive while they run, where each
 collection rescans tables that hold no reference cycles and frees nothing:
 parse_file and parse_text in textio (unpaused, the 10.7 MB literal Scanner
 group instance takes about 1,200 collections and 0.4 s longer) and the
-search behind decide and oracle_decide (about 280 collections at
-separation n = 16). minimize started no collection on the p = 3 machine
-tables, the 932- and 938-row ones of reduce tm or the 21k-row literal ones,
-and a paused derivation of transitions pays as much in the one collection
-that follows, so both run unpaused, as do the builders that fill lists of
-ints, which the collector does not track. The pause is process-wide: it covers other threads while it lasts,
-and one that was already off stays off. A generator function is refused,
-because the pause would last for as long as it is suspended.
+search behind decide and oracle_decide (about 280 collections at separation
+n = 16). minimize started no collection on the p = 3 machine tables (about
+935 rows from reduce tm, 21k literal), and a paused derivation of
+transitions pays as much in the one collection that follows, so both run
+unpaused, as do the builders that fill lists of ints, which the collector
+does not track. The pause is process-wide: it covers other threads while it
+lasts, and one that was already off stays off. A generator function is
+refused, because the pause would last for as long as it is suspended.
 """
 
 from __future__ import annotations
@@ -667,10 +667,9 @@ def complete_with_zero(automaton: MealyAutomaton) -> MealyAutomaton:
 
 
 def _refine(n: int, outs: list[int], targets: list[int], width: int) -> list[int]:
-    """Moore's refinement of n states from equal outputs; classes are numbered
-    as first met. A state's key is a tuple of ints: first 0 and its output per
-    letter (the 0 keeps n keys when there are no letters), then each round its
-    class and its target's class per letter."""
+    """Moore's refinement of n states from equal outputs, classes numbered as
+    first met. A key is a tuple: 0 (so n keys with no letters) and the state's
+    outputs, then each round its class and its targets' classes."""
     ids: dict = {}
     keys = zip([0] * n, *[outs[j::width] for j in range(width)])
     cls = [ids.setdefault(key, len(ids)) for key in keys]

@@ -108,8 +108,6 @@ def test_act_step_checks_the_state_before_the_letter():
     for act_one in (act_step, lambda aut, q, a: act_word(aut, [q], [a])):
         with pytest.raises(UnknownState, match="'\\+2' is not a state of adding"):
             act_one(ADDING, "+2", "2")
-        with pytest.raises(UnknownState):
-            act_one(ADDING, SignedState("+2", True), "2")
 
 
 # ---------------------------------------------------------------- act_word
