@@ -16,7 +16,7 @@ from dataclasses import fields as dataclass_fields
 
 from .errors import AutomatonError, ConfigBudgetExceeded, ParseError
 from .gadgets import GADGET_NAMES, build_gadget, separation_instance
-from .mealy import Defined, SignedState, act_word, check_properties, minimize
+from .mealy import Defined, act_word, check_properties
 from .reductions import DfaList, reduce_dfa_emptiness, reduce_dfa_intersection
 from .textio import (
     parse_file,
@@ -24,14 +24,8 @@ from .textio import (
     serialize_automaton,
     serialize_instance,
 )
-from .turing import TmReductionParams, _reduce, derive_tau, encode_computation
-from .wordproblem import (
-    EQUAL,
-    NOT_EQUAL,
-    WordProblemInstance,
-    decide,
-    oracle_decide,
-)
+from .turing import TmReductionParams, _reduce_quotient, encode_computation
+from .wordproblem import EQUAL, NOT_EQUAL, decide, oracle_decide
 
 
 class _Parser(argparse.ArgumentParser):
@@ -153,19 +147,10 @@ def _tm_params(args, group: bool) -> TmReductionParams:
 
 
 def _cmd_reduce_tm(args) -> int:
-    """Emits the instance over the Moore quotient of the literal automaton:
-    the same verdicts and witnesses in a file hundreds of times smaller. The
-    build writes one chk row per tau class (about 935 rows at p = 3, not
-    21k), whose quotient is the literal one's, names included (_reduce)."""
+    """Emits the instance over the Moore quotient of the literal automaton
+    (turing._reduce_quotient)."""
     tm = _single(parse_file(args.file).machines, "tm")
-    inst = _reduce(tm, _tm_params(args, args.group), derive_tau(tm).get)
-    quotient, class_of = minimize(inst.automaton)
-    lhs, rhs = (
-        [SignedState(class_of[item.base], item.inverted) for item in seq]
-        for seq in (inst.lhs, inst.rhs)
-    )
-    inst = WordProblemInstance(quotient, lhs, rhs, inst.constraints)
-    print(serialize_instance(inst), end="")
+    print(serialize_instance(_reduce_quotient(tm, _tm_params(args, args.group))), end="")
     return 0
 
 

@@ -47,10 +47,10 @@ from .errors import (
 from .mealy import (
     Acceptor,
     MealyAutomaton,
-    StateSequence,
     Word,
     _check_token,
     _Table,
+    minimize,
 )
 from .wordproblem import WordProblemInstance
 
@@ -336,9 +336,9 @@ def _build(tm: TuringMachineSpec, params: TmReductionParams, key: Callable) -> t
     holds it: the few dozen other states first, a row each as named (route
     fills pass-through cells, add the counter digits, tail each suffix reader
     0^k $ 0), then the checker family as row blocks. _of wraps it, so its
-    transitions dict is derived only if read. The group variant completes
-    the named rows, writes the blocks complete and checks the G-automaton
-    class on the whole table; failure raises NotGAutomaton."""
+    transitions dict is derived only if read. The group variant then
+    completes every row and checks the G-automaton class in one pass
+    (_complete_rows); failure raises NotGAutomaton."""
     delta, sigma, group = delta_alphabet(tm), sigma_alphabet(tm), params.group_variant
     table = _Table(f"tm-{tm.name}-group" if group else f"tm-{tm.name}", sigma)
     add, route = table.add, table.route
@@ -405,12 +405,11 @@ def _build(tm: TuringMachineSpec, params: TmReductionParams, key: Callable) -> t
         add("bump1", "0", "1", "bump2")
         tail("bump2", "01", "bump3", "bump4")
         route(SINK_STATE, sigma, SINK_STATE)
-        _complete_rows(table, table.state_index[SINK_STATE])
 
     # --- checkers, last: the blocks then size the table's lists exactly
     entry = _write_checkers(table, tm, group, key)
     if group:
-        _check_group_rows(table)
+        _complete_rows(table, table.state_index[SINK_STATE])
     return MealyAutomaton._of(table), entry
 
 
@@ -422,9 +421,9 @@ def _write_checkers(table: _Table, tm: TuringMachineSpec, group: bool, key: Call
     rows, named chk<tag>|x|y|z|l1|l2 by the least such name among them. A
     row's index is computed from its coordinates' delta indices, and its
     targets are read off the blocks' index lists (shared ints); d1, bump0,
-    bump1 and the sink are rows already. Group-variant rows are written
-    complete: no completion reads them. Returns the map from each
-    checker_entry name to the chk1 row that stands for it."""
+    bump1 and the sink are rows already. A chk1 row reads no # or $; the
+    group variant's completion sends them to the sink. Returns the map from
+    each checker_entry name to the chk1 row that stands for it."""
     delta, si = delta_alphabet(tm), table.state_index
     n, width, outs, targets = len(delta), table.width, table.outs, table.targets
     windows = list(itertools.product(delta, repeat=3))
@@ -444,9 +443,8 @@ def _write_checkers(table: _Table, tm: TuringMachineSpec, group: bool, key: Call
     gather = itemgetter(*map(order.index, table.letters))
     own = [table.letter_index[a] for a in order]
     every, digits = gather(own), gather([-1] * n + own[n:n + 2] + [-1, -1])
+    c1_outs = gather(own[:n + 2] + [-1, -1])
     d1, fail = si["d1"], [si[FAIL_ENTRY], si["bump1"]] if group else None
-    # chk1 reads no # or $; the group variant passes them on to the sink, as completion would
-    c1_outs, c1_end = (every, si[SINK_STATE]) if group else (gather(own[:n + 2] + [-1, -1]), 0)
 
     def row(q: int, out: tuple, on_delta: list, *on_0_1_hash_dollar: int) -> None:
         outs[q * width:(q + 1) * width] = out
@@ -458,7 +456,7 @@ def _write_checkers(table: _Table, tm: TuringMachineSpec, group: bool, key: Call
     for i, (c0, c1) in enumerate(zip(chk0, chk1)):
         c, l1, l2 = i // wide, i // (n + 1) % (n + 1), i % (n + 1)
         lo = c * wide + l2 * (n + 1) + 1  # chk0 of (key, l2, delta[0])
-        row(c1, c1_outs, chk0[lo:lo + n], c1, c1, c1_end, c1_end)
+        row(c1, c1_outs, chk0[lo:lo + n], c1, c1, 0, 0)
         # the first unmarked cell has been located: its symbol is l2, which
         # must match the stored window's evolution
         if l2 and delta[l2 - 1] == evolved[c]:
@@ -472,38 +470,30 @@ def _write_checkers(table: _Table, tm: TuringMachineSpec, group: bool, key: Call
 
 
 def _complete_rows(table: _Table, sink: int) -> None:
-    """The identity-preferring sink completion, in place: each undefined
-    cell of a row emits its own letter if the row does not emit it yet, else
-    the least letter the row does not emit, and moves to the sink. A build
-    runs it on the named rows only, before _write_checkers adds the blocks."""
+    """The group variant's completion and class check, in place, over every
+    row. A row whose defined cells repeat an output raises NotGAutomaton,
+    naming the first such state in table order. Otherwise each undefined
+    cell emits its own letter if the row does not emit it yet, else the
+    least letter the row does not emit, and moves to the sink: every row
+    then emits every letter exactly once."""
     outs, targets, width = table.outs, table.targets, table.width
-    for k in range(0, len(outs), width):
+    for i, q in enumerate(table.states):
+        k = i * width
         row = outs[k:k + width]
-        if -1 not in row:
-            continue
         used = set(row)
+        used.discard(-1)
+        if len(used) + row.count(-1) < width:
+            raise NotGAutomaton(
+                f"{table.name} failed the class check: state {q!r} does not "
+                "emit every letter exactly once"
+            )
+        if len(used) == width:
+            continue
         for j, b in enumerate(row):
             if b < 0:
                 out = j if j not in used else next(x for x in range(width) if x not in used)
                 used.add(out)
                 outs[k + j], targets[k + j] = out, sink
-
-
-def _check_group_rows(table: _Table) -> None:
-    """Raise NotGAutomaton unless every row of the table emits every letter
-    exactly once: complete and inverse-deterministic, the class check of
-    the group variant. Only the distinct rows are checked, unless one fails:
-    then the first bad state in table order is named."""
-    width, outs = table.width, table.outs
-    letters = set(range(width))
-    if all(set(row) == letters for row in set(zip(*[outs[j::width] for j in range(width)]))):
-        return
-    for i, q in enumerate(table.states):
-        if set(outs[i * width:(i + 1) * width]) != letters:
-            raise NotGAutomaton(
-                f"{table.name} failed the class check: state {q!r} does not "
-                "emit every letter exactly once"
-            )
 
 
 def structured_words_acceptor(
@@ -532,12 +522,24 @@ def reduce_tm(tm: TuringMachineSpec, params: TmReductionParams) -> WordProblemIn
     against the same without e. Group variant: [e] + pairs against the
     pairs, constrained to the structured-word language. The automaton is
     the literal one of build_tm_automaton."""
-    return _reduce(tm, params, tuple)
+    return WordProblemInstance(*_reduce(tm, params, tuple))
 
 
-def _reduce(tm: TuringMachineSpec, params: TmReductionParams, key: Callable) -> WordProblemInstance:
-    """reduce_tm over the automaton whose chk rows are shared by the windows
-    of one key (_build); each checker item is the row that stands for it."""
+def _reduce_quotient(tm: TuringMachineSpec, params: TmReductionParams) -> WordProblemInstance:
+    """The instance `autsg reduce tm` prints: reduce_tm's over the Moore
+    quotient of the literal automaton, the same verdicts and witnesses in a
+    file hundreds of times smaller. The build writes one chk row per tau
+    class (about 935 rows at p = 3, not 21k), whose quotient is the literal
+    one's, names included; each item is mapped to its class."""
+    aut, lhs, rhs, constraints = _reduce(tm, params, derive_tau(tm).get)
+    quotient, class_of = minimize(aut)
+    return WordProblemInstance(quotient, map(class_of.get, lhs), map(class_of.get, rhs), constraints)
+
+
+def _reduce(tm: TuringMachineSpec, params: TmReductionParams, key: Callable) -> tuple:
+    """reduce_tm's automaton, sides and constraints, the automaton's chk rows
+    shared by the windows of one key (_build), which must fix tau(w); each
+    checker item is the row that stands for it."""
     _validate_input_word(tm, params)
     aut, entry = _build(tm, params, key)
     cells = (tm.blank, *initial_configuration(tm, params), tm.blank)
@@ -548,5 +550,4 @@ def _reduce(tm: TuringMachineSpec, params: TmReductionParams, key: Callable) -> 
         rhs, constraints = pairs, [structured_words_acceptor(tm, params)]
     else:
         rhs, constraints = [FULL_ENTRY, *pairs, FORM_ENTRY], []
-    lhs = [PROBE_ENTRY, *rhs]
-    return WordProblemInstance(aut, StateSequence(lhs), StateSequence(rhs), constraints)
+    return aut, [PROBE_ENTRY, *rhs], rhs, constraints

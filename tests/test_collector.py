@@ -5,10 +5,10 @@ many new containers alive while they run, so they run with the collector
 paused, and leave it as they found it, whether they return or raise. The
 rest runs unpaused: build_tm_automaton, the MealyAutomaton constructor and
 check_properties fill and read lists of ints, which the collector does not
-track, and minimize keeps one key per class, packed into bytes, which it does
-not track either, so on the machine tables they start no collection; a pause
-around the transitions derived from a table would only defer its collections
-to the next allocation.
+track, so on the machine tables they start no collection. minimize starts
+none either: it keeps one tuple key per class and frees the others as it
+makes them. A pause around the transitions derived from a table would only
+defer its collections to the next allocation.
 """
 
 import gc

@@ -31,7 +31,6 @@ from autsg.turing import (
     MOVES,
     TmReductionParams,
     TuringMachineSpec,
-    _check_group_rows,
     _complete_rows,
     build_tm_automaton,
     checker_entry,
@@ -309,8 +308,7 @@ def test_group_completion_prefers_identity():
     # identity 1/1 is taken by the toggle's output, so 1 falls back to the
     # smallest unused letter
     assert AUT_ACC_G.transitions[("probe6", "1")] == ("0", "sink")
-    # a chk1 state reads no # or $: its row is written as the completion
-    # finishes it
+    # a chk1 state reads no # or $: the completion sends them to the sink
     assert AUT_ACC_G.transitions[("chk1|_|a|_||", "#")] == ("#", "sink")
     assert AUT_ACC_G.transitions[("chk1|_|a|_||", "$")] == ("$", "sink")
 
@@ -335,34 +333,94 @@ def _table(outs: list[int]) -> _Table:
 
 
 def test_group_class_check_reads_every_row():
-    _check_group_rows(_table([0, 1, 2, 2, 0, 1]))
-    with pytest.raises(NotGAutomaton, match="'q1'"):  # q1 is undefined on c
-        _check_group_rows(_table([0, 1, 2, 2, 0, -1]))
+    _complete_rows(_table([0, 1, 2, 2, 0, 1]), sink=0)
     with pytest.raises(NotGAutomaton, match="'q0'"):  # q0 emits a twice
-        _check_group_rows(_table([0, 0, 2, 2, 0, 1]))
+        _complete_rows(_table([0, 0, 2, 2, 0, 1]), sink=0)
     # many rows share one permutation; a bad row among them is named, and of
     # two different bad rows the first in table order
     table = _Table("t", "abc", [f"q{i}" for i in range(200)])
     table.outs = [1, 2, 0] * 200
-    _check_group_rows(table)
+    _complete_rows(table, sink=0)
     table.outs[300:303] = [1, 1, 0]
     with pytest.raises(NotGAutomaton, match="'q100'"):
-        _check_group_rows(table)
+        _complete_rows(table, sink=0)
     table.outs[420:423] = [0, 0, 0]
-    table.outs[180:183] = [2, 0, -1]
+    table.outs[180:183] = [2, 2, -1]
     with pytest.raises(NotGAutomaton, match="'q60'"):
-        _check_group_rows(table)
+        _complete_rows(table, sink=0)
 
 
 def test_group_completion_fails_the_check_on_a_repeated_output():
-    # q1 emits b on a and on c: the completion fills its b cell with the
-    # only letter left, a, and cannot undo the repeat
+    # q1 emits b on a and on c: no filling of its b cell undoes the repeat
     table = _table([0, -1, -1, 1, -1, 1])
-    _complete_rows(table, sink=table.state_index["q1"])
-    # rows q1, then q0; q0 is state 1 and the sink q1 state 0
-    assert table.outs == [1, 0, 1, 0, 1, 2] and table.targets == [1, 0, 1, 1, 0, 0]
-    with pytest.raises(NotGAutomaton, match="'q1'"):
-        _check_group_rows(table)
+    with pytest.raises(NotGAutomaton, match="'q1'") as err:
+        _complete_rows(table, sink=table.state_index["q1"])
+    assert str(err.value) == (
+        "t failed the class check: state 'q1' does not emit every letter exactly once"
+    )
+
+
+def _completed_by_reference(rows, width, sink):
+    """The identity-preferring sink completion of rows, lists of width
+    output indices (-1 where undefined), cell by cell: (outs, targets) per
+    row, or the index of the first row whose defined outputs repeat."""
+    done = []
+    for i, row in enumerate(rows):
+        defined = [b for b in row if b >= 0]
+        if len(set(defined)) < len(defined):
+            return i
+        outs, targets = list(row), [None] * width
+        for j in range(width):
+            if outs[j] < 0:
+                free = [x for x in range(width) if x not in outs]
+                outs[j] = j if j in free else min(free)
+                targets[j] = sink
+        done.append((outs, targets))
+    return done
+
+
+def test_group_completion_against_a_literal_reference():
+    # random tables with undefined cells and repeated outputs: either the
+    # first row with a repeated defined output is named, or every row is a
+    # permutation, defined cells are as they were, and each filled cell
+    # takes its own letter if free, else the least free one, to the sink
+    rng = random.Random(23)
+    raised = completed = 0
+    for trial in range(400):
+        width, n = rng.randint(2, 5), rng.randint(1, 30)
+        letters = "abcde"[:width]
+        rows = []
+        for _ in range(n):
+            row = rng.sample(range(width), width)
+            for j in range(width):
+                if rng.random() < 0.3:
+                    row[j] = -1
+            if rng.random() < 0.03:
+                row[rng.randrange(width)] = row[rng.randrange(width)]
+            rows.append(row)
+        table = _Table("t", letters, [f"q{i}" for i in range(n)])
+        for i, row in enumerate(rows):
+            for j, b in enumerate(row):
+                if b >= 0:
+                    table.add(f"q{i}", letters[j], letters[b], f"q{rng.randrange(n)}")
+        before = list(table.targets)
+        sink = rng.randrange(n)
+        want = _completed_by_reference(rows, width, sink)
+        if isinstance(want, int):
+            with pytest.raises(NotGAutomaton, match=f"'q{want}'"):
+                _complete_rows(table, sink)
+            raised += 1
+            continue
+        _complete_rows(table, sink)
+        for i, (outs, targets) in enumerate(want):
+            row = slice(i * width, (i + 1) * width)
+            assert sorted(table.outs[row]) == list(range(width))
+            assert table.outs[row] == outs
+            assert table.targets[row] == [
+                old if t is None else t for old, t in zip(before[row], targets)
+            ]
+        completed += 1
+    assert raised > 20 and completed > 20
 
 
 def test_reduce_tm_derives_no_literal_transitions(tmp_path, monkeypatch, capsys):
@@ -392,9 +450,9 @@ def test_reduce_tm_derives_no_literal_transitions(tmp_path, monkeypatch, capsys)
 
 
 def test_group_build_checks_tokens_and_completes_rows_in_bulk(monkeypatch):
-    # the state names are checked in one pass, and the completion reads only
-    # the named rows: a per-name check or a completion over the checker
-    # blocks would only show as a slower build
+    # the state names are checked in one pass, and one completion runs over
+    # the whole table once its blocks are written: a per-name check or a
+    # completion per row would only show as a slower build
     checked, completed = [], []
     check_token, complete_rows = mealy._check_token, turing._complete_rows
 
@@ -412,7 +470,7 @@ def test_group_build_checks_tokens_and_completes_rows_in_bulk(monkeypatch):
     inst = reduce_tm(SCANNER, params)
     names = [tok for tok, what in checked if what == "state name"]
     assert names == [inst.automaton.name, inst.constraints[0].name]
-    assert len(completed) == 1 and completed[0] < 100
+    assert completed == [len(inst.automaton.states)]
 
 
 def test_random_machines_stay_in_class():
