@@ -533,7 +533,9 @@ def _reduce_quotient(tm: TuringMachineSpec, params: TmReductionParams) -> WordPr
     one's, names included; each item is mapped to its class."""
     aut, lhs, rhs, constraints = _reduce(tm, params, derive_tau(tm).get)
     quotient, class_of = minimize(aut)
-    return WordProblemInstance(quotient, map(class_of.get, lhs), map(class_of.get, rhs), constraints)
+    return WordProblemInstance(
+        quotient, map(class_of.get, lhs), map(class_of.get, rhs), constraints
+    )
 
 
 def _reduce(tm: TuringMachineSpec, params: TmReductionParams, key: Callable) -> tuple:
