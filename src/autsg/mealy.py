@@ -26,11 +26,14 @@ sorted by name (_Table.cells): the serializer and the derived automata read
 them, and transitions derives its dict from them.
 
 This module owns the two stepping kernels the rest of the package uses:
-_thread, how a sequence of signed states consumes one letter, on signed
-rows the _Table fills as states are first stepped (behind act_word, which
-act_step calls, and the word-problem search), and _subset_step, how a
-constraint acceptor's state subset reads one letter (behind
-acceptor_accepts and the search).
+_thread, how a sequence of signed states consumes one letter, and
+_subset_step, how a constraint acceptor's state subset reads one letter
+(behind acceptor_accepts and the search). _thread runs on a table, on the
+signed rows the _Table fills as states are first stepped (behind act_word,
+which act_step calls, and the word-problem search), or on its power table,
+a _PowerTable, whose states are blocks of up to _BLOCK signed states and
+whose rows are filled one letter at a time by _thread on the table (behind
+the search on sides of more than _BLOCK items).
 
 _gc_paused runs a function with CPython's cyclic garbage collector off and
 switches it back on when the function returns or raises. It wraps only the
@@ -495,7 +498,9 @@ def _thread(table: _Table, items: list[int], letter: int) -> int | None:
     by one input letter, rightmost item first, each output feeding the item
     to its left. Returns the leftmost output (the letter itself for no
     items), or None where the action is undefined, leaving items partly
-    advanced. Raises NotInverseDeterministic on an ambiguous inverse step."""
+    advanced. Raises NotInverseDeterministic on an ambiguous inverse step.
+    table is a _Table, or a _PowerTable whose items are blocks; the row of
+    a block steps on the _Table, so that step raises naming a base state."""
     rows = table.rows
     for i in range(len(items) - 1, -1, -1):
         s = items[i]
@@ -509,6 +514,61 @@ def _thread(table: _Table, items: list[int], letter: int) -> int | None:
             )
         letter, items[i] = step
     return letter
+
+
+_BLOCK = 8  # the most signed states one state of a _PowerTable stands for
+
+
+class _PowerTable:
+    """The power table of a _Table: its signed states are blocks, tuples of
+    up to _BLOCK signed states of the base table, numbered by block the first
+    time each is met, so that a block has one number wherever it occurs.
+    rows holds per number a _Cells, filled one letter at a time as the
+    block first reads it; _thread runs on it as on the base table. The rows
+    refer back to the power table, so it is freed by the collector."""
+
+    def __init__(self, base: _Table):
+        self.base, self.rows, self.number = base, [], {}
+
+    def block(self, items: tuple[int, ...]) -> int:
+        """The number of the block items."""
+        s = self.number.get(items)
+        if s is None:
+            s = self.number[items] = len(self.rows)
+            self.rows.append(_Cells(self, items))
+        return s
+
+    def cut(self, items: tuple[int, ...]) -> tuple[int, ...]:
+        """The signed states items as blocks of _BLOCK from the right, so
+        that sequences which end alike end in the same blocks; only the
+        leftmost block may be shorter."""
+        ends = range(len(items), 0, -_BLOCK)
+        return tuple(self.block(items[max(end - _BLOCK, 0):end]) for end in reversed(ends))
+
+    def row(self, s: int) -> "_Cells":
+        """The row of block s, which _thread asks for while it is empty."""
+        return self.rows[s]
+
+
+class _Cells(dict):
+    """The row of a block in a _PowerTable: per letter read, the block's
+    output letter and next block, or None where it is undefined. A letter
+    is threaded through the block on the base table when first read, so an
+    undefined or ambiguous step shows there, as it would item by item."""
+
+    __slots__ = ("power", "items")
+
+    def __init__(self, power: _PowerTable, items: tuple[int, ...]):
+        self.power, self.items = power, items
+
+    def __missing__(self, letter: int):
+        items = list(self.items)
+        out = _thread(self.power.base, items, letter)
+        if out is None:
+            self[letter] = None
+            return None
+        self[letter] = cell = out, self.power.block(tuple(items))
+        return cell
 
 
 def act_step(

@@ -16,9 +16,13 @@ configuration, and breadth-first order with letter-sorted expansion makes the
 returned witness the length-then-lex least one. This module only searches:
 how a side consumes a letter (mealy._thread, over the automaton's integer
 table) and how a constraint subset steps (mealy._subset_step) are the
-kernels in mealy.py. Sides are tuples of signed-state ints, and each step
-records both sides' output letters, so the walk back along the parent chain
-that rebuilds the witness also yields the sides' values on it.
+kernels in mealy.py. Sides are tuples of signed-state ints, or, when a
+side has more than mealy._BLOCK items, tuples of block ids of the table's
+power table, both sides cut into blocks from the right so that a suffix
+they share has the same ids and is stepped once (_sides). Blocks are
+numbered one to one, so the configurations are the same either way. Each
+step records both sides' output letters, so the walk back along the parent
+chain that rebuilds the witness also yields the sides' values on it.
 
 oracle_decide() answers the same question bounded by a word length. Its
 default implementation is the same deduplicated search cut at that depth,
@@ -45,6 +49,8 @@ from .mealy import (
     SeqItem,
     StateSequence,
     Word,
+    _BLOCK,
+    _PowerTable,
     _gc_paused,
     _subset_step,
     _thread,
@@ -163,22 +169,30 @@ def _witness_verdict(letters: list, parents: dict, node) -> Verdict:
     return Verdict(NOT_EQUAL, word, lhs_value, rhs_value)
 
 
+def _sides(inst: WordProblemInstance) -> tuple:
+    """The table the search threads letters on, and the two sides as its
+    signed states: the automaton's table and signed-state ints, or, when a
+    side has more than _BLOCK items, its power table and block ids."""
+    table = inst.automaton._table
+    lhs, rhs = (tuple(map(table.signed, side)) for side in (inst.lhs, inst.rhs))
+    if max(len(lhs), len(rhs)) <= _BLOCK:
+        return table, lhs, rhs
+    power = _PowerTable(table)
+    return power, power.cut(lhs), power.cut(rhs)
+
+
 @_gc_paused
 def _search(
     inst: WordProblemInstance,
     max_depth: int | None,
     max_configs: int | None,
 ) -> Verdict:
-    table = inst.automaton._table
+    letters = inst.automaton._table.letters
+    table, lhs, rhs = _sides(inst)
     accs = inst.constraints
     step_maps = [acc._steps for acc in accs]
     finals = [acc.final for acc in accs]
-    init = (
-        tuple(map(table.signed, inst.lhs)),
-        tuple(map(table.signed, inst.rhs)),
-        tuple(acc.initial for acc in accs),
-        False,
-    )
+    init = (lhs, rhs, tuple(acc.initial for acc in accs), False)
     # config -> (parent config, letter read, lhs output, rhs output)
     parents: dict = {init: None}
     queue = deque([(init, 0)])
@@ -187,7 +201,7 @@ def _search(
         if max_depth is not None and depth >= max_depth:
             continue
         lhs, rhs, subs, diverged = cfg
-        for a, letter in enumerate(table.letters):
+        for a, letter in enumerate(letters):
             new_subs = []
             for m, sub in zip(step_maps, subs):
                 nxt = _subset_step(m, sub, letter)
@@ -217,7 +231,7 @@ def _search(
                 continue
             parents[child] = (cfg, a, out_l, out_r)
             if _is_witness(child, finals):
-                return _witness_verdict(table.letters, parents, child)
+                return _witness_verdict(letters, parents, child)
             if max_configs is not None and len(parents) > max_configs:
                 raise ConfigBudgetExceeded(
                     f"more than {max_configs} configurations explored",

@@ -54,7 +54,9 @@ def _at_budget(inst: WordProblemInstance) -> tuple[int, int] | str:
         return exc.configs, exc.depth
 
 
-@pytest.mark.parametrize("n", [8, 12, 16])
+# on dual-adding, n = 9 is the first size whose sides are stepped in blocks:
+# 9 items against 8
+@pytest.mark.parametrize("n", [8, 9, 12, 16])
 @pytest.mark.parametrize("name", ["dual-adding", "dual-adding-prime"])
 def test_separation_stores_one_config_per_witness_letter(name, n):
     inst, half = separation_instance(name, n), 2 ** (n - 1)
