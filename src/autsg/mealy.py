@@ -493,7 +493,7 @@ class _Table:
                     todo.append(step[1])
 
 
-def _thread(table: _Table, items: list[int], letter: int) -> int | None:
+def _thread(table: _Table | _PowerTable, items: list[int], letter: int) -> int | None:
     """The letter-threading kernel: advance the signed states items in place
     by one input letter, rightmost item first, each output feeding the item
     to its left. Returns the leftmost output (the letter itself for no
@@ -521,17 +521,17 @@ _BLOCK = 8  # the most signed states one state of a _PowerTable stands for
 
 class _PowerTable:
     """The power table of a _Table: its signed states are blocks, tuples of
-    up to _BLOCK signed states of the base table, numbered by block the first
-    time each is met, so that a block has one number wherever it occurs.
-    rows holds per number a _Cells, filled one letter at a time as the
-    block first reads it; _thread runs on it as on the base table. The rows
-    refer back to the power table, so it is freed by the collector."""
+    up to _BLOCK signed states of the base table, numbered as first met, so
+    that a block has one number wherever it occurs. rows holds per number a
+    _Cells, filled one letter at a time; _thread runs on it as on the base
+    table, whose letters it shares. The rows refer back to the table, so the
+    collector frees it."""
 
     def __init__(self, base: _Table):
-        self.base, self.rows, self.number = base, [], {}
+        self.base, self.letters, self.rows, self.number = base, base.letters, [], {}
 
-    def block(self, items: tuple[int, ...]) -> int:
-        """The number of the block items."""
+    def intern(self, items: tuple[int, ...]) -> int:
+        """The number of the block items, the next one if it is new."""
         s = self.number.get(items)
         if s is None:
             s = self.number[items] = len(self.rows)
@@ -543,7 +543,7 @@ class _PowerTable:
         that sequences which end alike end in the same blocks; only the
         leftmost block may be shorter."""
         ends = range(len(items), 0, -_BLOCK)
-        return tuple(self.block(items[max(end - _BLOCK, 0):end]) for end in reversed(ends))
+        return tuple(self.intern(items[max(end - _BLOCK, 0):end]) for end in reversed(ends))
 
     def row(self, s: int) -> "_Cells":
         """The row of block s, which _thread asks for while it is empty."""
@@ -564,10 +564,7 @@ class _Cells(dict):
     def __missing__(self, letter: int):
         items = list(self.items)
         out = _thread(self.power.base, items, letter)
-        if out is None:
-            self[letter] = None
-            return None
-        self[letter] = cell = out, self.power.block(tuple(items))
+        self[letter] = cell = None if out is None else (out, self.power.intern(tuple(items)))
         return cell
 
 

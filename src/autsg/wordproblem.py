@@ -174,11 +174,11 @@ def _sides(inst: WordProblemInstance) -> tuple:
     signed states: the automaton's table and signed-state ints, or, when a
     side has more than _BLOCK items, its power table and block ids."""
     table = inst.automaton._table
-    lhs, rhs = (tuple(map(table.signed, side)) for side in (inst.lhs, inst.rhs))
-    if max(len(lhs), len(rhs)) <= _BLOCK:
-        return table, lhs, rhs
-    power = _PowerTable(table)
-    return power, power.cut(lhs), power.cut(rhs)
+    lhs, rhs = tuple(map(table.signed, inst.lhs)), tuple(map(table.signed, inst.rhs))
+    if len(lhs) > _BLOCK or len(rhs) > _BLOCK:
+        table = _PowerTable(table)
+        return table, table.cut(lhs), table.cut(rhs)
+    return table, lhs, rhs
 
 
 @_gc_paused
@@ -187,7 +187,6 @@ def _search(
     max_depth: int | None,
     max_configs: int | None,
 ) -> Verdict:
-    letters = inst.automaton._table.letters
     table, lhs, rhs = _sides(inst)
     accs = inst.constraints
     step_maps = [acc._steps for acc in accs]
@@ -201,7 +200,7 @@ def _search(
         if max_depth is not None and depth >= max_depth:
             continue
         lhs, rhs, subs, diverged = cfg
-        for a, letter in enumerate(letters):
+        for a, letter in enumerate(table.letters):
             new_subs = []
             for m, sub in zip(step_maps, subs):
                 nxt = _subset_step(m, sub, letter)
@@ -231,7 +230,7 @@ def _search(
                 continue
             parents[child] = (cfg, a, out_l, out_r)
             if _is_witness(child, finals):
-                return _witness_verdict(letters, parents, child)
+                return _witness_verdict(table.letters, parents, child)
             if max_configs is not None and len(parents) > max_configs:
                 raise ConfigBudgetExceeded(
                     f"more than {max_configs} configurations explored",

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 from autsg import (
     Acceptor,
     Defined,
@@ -27,7 +29,7 @@ from autsg import (
     decide,
     oracle_decide,
 )
-from autsg.errors import ConfigBudgetExceeded
+from autsg.errors import ConfigBudgetExceeded, NotInverseDeterministic
 from autsg.mealy import _BLOCK, _PowerTable, _thread
 from autsg.wordproblem import EQUAL, NOT_EQUAL, UNDEFINED, _sides
 
@@ -43,7 +45,7 @@ def _automaton(rng: random.Random) -> MealyAutomaton:
     permuting = rng.random() < 0.5
     trans = {}
     for q in states:
-        outs = rng.sample(letters, len(letters)) if permuting else rng.choices(letters, k=len(letters))
+        outs = (rng.sample if permuting else rng.choices)(letters, k=len(letters))
         for a, b in zip(letters, outs):
             if permuting or rng.random() < 0.8:
                 trans[q, a] = (b, rng.choice(states))
@@ -148,3 +150,28 @@ def test_long_sides_agree_with_the_literal_enumeration():
         else:
             assert naive.kind == EQUAL and naive.bounded
     assert decided > 580 and witnesses > 150 and short > 150
+
+
+def test_an_ambiguous_step_in_a_block_names_the_base_state():
+    # ~q reads b as q's b -> b, and a as q's a -> a into ~p; p emits a on
+    # both letters, so ~p is undefined on a
+    reach = MealyAutomaton(
+        "reach",
+        ("a", "b"),
+        ("q", "p"),
+        {
+            ("q", "a"): ("a", "p"),
+            ("q", "b"): ("b", "q"),
+            ("p", "a"): ("a", "p"),
+            ("p", "b"): ("a", "p"),
+        },
+    )
+    table = reach._table
+    items = [table.signed(SignedState("q"))] * 8 + [table.signed(SignedState("q", True))]
+    power = _PowerTable(table)
+    blocks = list(power.cut(tuple(items)))
+    for a in (1, 0):  # b, then a
+        assert _thread(power, blocks, a) == _thread(table, items, a)
+    for _ in range(2):  # the step raises each time: no cell is kept for it
+        with pytest.raises(NotInverseDeterministic, match="state 'p' of reach emits 'a'"):
+            _thread(power, blocks, 0)
