@@ -15,12 +15,13 @@ the witness predicate and the successor relation depend only on the
 configuration, and breadth-first order with letter-sorted expansion makes the
 returned witness the length-then-lex least one. This module only searches:
 how a side consumes a letter (mealy._thread, over the automaton's integer
-table) and how a constraint subset steps (mealy._subset_step) are the
-kernels in mealy.py. Sides are tuples of signed-state ints, or, when a
-side has more than mealy._BLOCK items, tuples of block ids of the table's
-power table, both sides cut into blocks from the right so that a suffix
-they share has the same ids and is stepped once (_sides). Blocks are
-numbered one to one, so the configurations are the same either way. Each
+table or its power table) and how a constraint subset steps
+(mealy._subset_step) are the kernels in mealy.py. Sides are tuples of
+signed-state ints, or, when a side has more than mealy._BLOCK items, tuples
+of power-table block ids, both sides cut into blocks from the right so that
+a suffix they share has the same ids and its cells are built once (_sides).
+A block id stands for one tuple of signed states, so the configurations
+correspond one to one either way. Each
 step records both sides' output letters, so the walk back along the parent
 chain that rebuilds the witness also yields the sides' values on it.
 
