@@ -32,8 +32,9 @@ _subset_step, how a constraint acceptor's state subset reads one letter
 signed rows the _Table fills as states are first stepped (behind act_word,
 which act_step calls, and the word-problem search), or on its power table,
 a _PowerTable, whose states are blocks of up to _BLOCK signed states and
-whose rows are filled one letter at a time by _thread on the table (behind
-the search on sides of more than _BLOCK items).
+whose cells are built one letter at a time by _thread on the table (behind
+the search on sides of more than _BLOCK items, which _sides cuts). Both
+keep their rows as lists and leave a cell marked _DEFERRED to their cell.
 
 _gc_paused runs a function with CPython's cyclic garbage collector off and
 switches it back on when the function returns or raises. It wraps only the
@@ -365,7 +366,7 @@ def acceptor_accepts(acc: Acceptor, word: Iterable[Letter] | str) -> bool:
     return bool(cur & acc.final)
 
 
-_AMBIGUOUS = Ellipsis  # a singleton, so pickled and copied rows keep it
+_DEFERRED = Ellipsis  # a cell left to table.cell; a singleton, kept by pickle and copy
 
 
 class _Table:
@@ -383,10 +384,10 @@ class _Table:
     Actions step signed states: 2*i is state i, 2*i + 1 its inverse.
     rows, extended when the table is wrapped, holds per signed state s None
     until s is first stepped, then per letter (output letter, next signed
-    state), None where undefined, or _AMBIGUOUS where an inverse has several
-    candidate transitions. No row is written after row builds it, so a copy
-    keeps the rows of the table it copies: reduce_dfa_intersection copies
-    a template whose counter rows are all built."""
+    state), None where undefined, or _DEFERRED where an inverse has several
+    candidate transitions, so that cell raises. No row is written after row
+    builds it, so a copy keeps the rows of the table it copies:
+    reduce_dfa_intersection copies a template whose counter rows are built."""
 
     def __init__(self, name: str, letters: Iterable[Letter], states: Iterable[State] = ()):
         self.name, self.letters, self.states = name, sorted(letters), list(states)
@@ -470,9 +471,16 @@ class _Table:
             if b >= 0:
                 if inverted:  # ~q reads what q emits and emits what q reads
                     a, b = b, a
-                row[a] = (b, 2 * t + inverted) if row[a] is None else _AMBIGUOUS
+                row[a] = (b, 2 * t + inverted) if row[a] is None else _DEFERRED
         self.rows[s] = row
         return row
+
+    def cell(self, s: int, letter: int):
+        """The cell row s defers: raise, as the inverse s steps ambiguously."""
+        raise NotInverseDeterministic(
+            f"state {self.states[s >> 1]!r} of {self.name} emits "
+            f"{self.letters[letter]!r} on more than one transition"
+        )
 
     def check_inverse(self, item: SignedState) -> None:
         """Raise NotInverseDeterministic if the inverted item reaches an
@@ -483,7 +491,7 @@ class _Table:
         while todo:
             s = todo.pop()
             for step in self.rows[s] or self.row(s):
-                if step is _AMBIGUOUS:
+                if step is _DEFERRED:
                     raise NotInverseDeterministic(
                         f"{item!r} is not defined: it reaches {self.item(s)!r} of "
                         f"{self.name}, which has an ambiguous step"
@@ -499,19 +507,16 @@ def _thread(table: _Table | _PowerTable, items: list[int], letter: int) -> int |
     to its left. Returns the leftmost output (the letter itself for no
     items), or None where the action is undefined, leaving items partly
     advanced. Raises NotInverseDeterministic on an ambiguous inverse step.
-    table is a _Table, or a _PowerTable whose items are blocks; the row of
-    a block steps on the _Table, so that step raises naming a base state."""
+    table is a _Table or a _PowerTable; a _DEFERRED cell is table.cell's,
+    which raises naming a base state on an ambiguous step."""
     rows = table.rows
     for i in range(len(items) - 1, -1, -1):
         s = items[i]
         step = (rows[s] or table.row(s))[letter]
+        if step is _DEFERRED:
+            step = table.cell(s, letter)
         if step is None:
             return None
-        if step is _AMBIGUOUS:
-            raise NotInverseDeterministic(
-                f"state {table.states[s >> 1]!r} of {table.name} emits "
-                f"{table.letters[letter]!r} on more than one transition"
-            )
         letter, items[i] = step
     return letter
 
@@ -522,20 +527,22 @@ _BLOCK = 8  # the most signed states one state of a _PowerTable stands for
 class _PowerTable:
     """The power table of a _Table: its signed states are blocks, tuples of
     up to _BLOCK signed states of the base table, numbered as first met, so
-    that a block has one number wherever it occurs. rows holds per number a
-    _Cells, filled one letter at a time; _thread runs on it as on the base
-    table, whose letters it shares. The rows refer back to the table, so the
-    collector frees it."""
+    that a block has one number wherever it occurs. blocks holds the items
+    of each and rows a list made whole, so _thread asks no row of it, each
+    cell _DEFERRED until cell builds it; _thread runs on it as on the base
+    table, whose letters it shares."""
 
     def __init__(self, base: _Table):
-        self.base, self.letters, self.rows, self.number = base, base.letters, [], {}
+        self.base, self.letters, self.number = base, base.letters, {}
+        self.rows, self.blocks = [], []
 
     def intern(self, items: tuple[int, ...]) -> int:
         """The number of the block items, the next one if it is new."""
         s = self.number.get(items)
         if s is None:
             s = self.number[items] = len(self.rows)
-            self.rows.append(_Cells(self, items))
+            self.rows.append([_DEFERRED] * self.base.width)
+            self.blocks.append(items)
         return s
 
     def cut(self, items: tuple[int, ...]) -> tuple[int, ...]:
@@ -545,27 +552,27 @@ class _PowerTable:
         ends = range(len(items), 0, -_BLOCK)
         return tuple(self.intern(items[max(end - _BLOCK, 0):end]) for end in reversed(ends))
 
-    def row(self, s: int) -> "_Cells":
-        """The row of block s, which _thread asks for while it is empty."""
-        return self.rows[s]
-
-
-class _Cells(dict):
-    """The row of a block in a _PowerTable: per letter read, the block's
-    output letter and next block, or None where it is undefined. A letter
-    is threaded through the block on the base table when first read, so an
-    undefined or ambiguous step shows there, as it would item by item."""
-
-    __slots__ = ("power", "items")
-
-    def __init__(self, power: _PowerTable, items: tuple[int, ...]):
-        self.power, self.items = power, items
-
-    def __missing__(self, letter: int):
-        items = list(self.items)
-        out = _thread(self.power.base, items, letter)
-        self[letter] = cell = None if out is None else (out, self.power.intern(tuple(items)))
+    def cell(self, s: int, letter: int):
+        """Build, store and return the cell of block s for letter: its
+        output and next block, threaded through the block on the base table,
+        or None where undefined. An ambiguous step raises before anything
+        is stored, so it raises again on every read."""
+        items = list(self.blocks[s])
+        out = _thread(self.base, items, letter)
+        self.rows[s][letter] = cell = None if out is None else (out, self.intern(tuple(items)))
         return cell
+
+
+def _sides(table: _Table, lhs: StateSequence, rhs: StateSequence) -> tuple:
+    """The table a search threads letters on and the sides as its signed
+    states: signed-state ints, or, when a side has more than _BLOCK items,
+    block ids of a power table, cut from the right so that a suffix both
+    sides share has the same ids."""
+    lhs, rhs = tuple(map(table.signed, lhs)), tuple(map(table.signed, rhs))
+    if len(lhs) > _BLOCK or len(rhs) > _BLOCK:
+        table = _PowerTable(table)
+        return table, table.cut(lhs), table.cut(rhs)
+    return table, lhs, rhs
 
 
 def act_step(

@@ -14,16 +14,14 @@ diverged outputs or exactly one side is alive. Deduplication is sound because
 the witness predicate and the successor relation depend only on the
 configuration, and breadth-first order with letter-sorted expansion makes the
 returned witness the length-then-lex least one. This module only searches:
-how a side consumes a letter (mealy._thread, over the automaton's integer
-table or its power table) and how a constraint subset steps
-(mealy._subset_step) are the kernels in mealy.py. Sides are tuples of
-signed-state ints, or, when a side has more than mealy._BLOCK items, tuples
-of power-table block ids, both sides cut into blocks from the right so that
-a suffix they share has the same ids and its cells are built once (_sides).
-A block id stands for one tuple of signed states, so the configurations
-correspond one to one either way. Each
-step records both sides' output letters, so the walk back along the parent
-chain that rebuilds the witness also yields the sides' values on it.
+how a side consumes a letter (mealy._thread) and how a constraint subset
+steps (mealy._subset_step) are the kernels in mealy.py, and so is the
+representation of the sides (mealy._sides): tuples of signed-state ints on
+the automaton's table, or of block ids on its power table, where a block id
+stands for one tuple of signed states, so the configurations correspond one
+to one either way. Each step records both sides' output letters, so the
+walk back along the parent chain that rebuilds the witness also yields the
+sides' values on it.
 
 oracle_decide() answers the same question bounded by a word length. Its
 default implementation is the same deduplicated search cut at that depth,
@@ -50,9 +48,8 @@ from .mealy import (
     SeqItem,
     StateSequence,
     Word,
-    _BLOCK,
-    _PowerTable,
     _gc_paused,
+    _sides,
     _subset_step,
     _thread,
     acceptor_accepts,
@@ -170,25 +167,13 @@ def _witness_verdict(letters: list, parents: dict, node) -> Verdict:
     return Verdict(NOT_EQUAL, word, lhs_value, rhs_value)
 
 
-def _sides(inst: WordProblemInstance) -> tuple:
-    """The table the search threads letters on, and the two sides as its
-    signed states: the automaton's table and signed-state ints, or, when a
-    side has more than _BLOCK items, its power table and block ids."""
-    table = inst.automaton._table
-    lhs, rhs = tuple(map(table.signed, inst.lhs)), tuple(map(table.signed, inst.rhs))
-    if len(lhs) > _BLOCK or len(rhs) > _BLOCK:
-        table = _PowerTable(table)
-        return table, table.cut(lhs), table.cut(rhs)
-    return table, lhs, rhs
-
-
 @_gc_paused
 def _search(
     inst: WordProblemInstance,
     max_depth: int | None,
     max_configs: int | None,
 ) -> Verdict:
-    table, lhs, rhs = _sides(inst)
+    table, lhs, rhs = _sides(inst.automaton._table, inst.lhs, inst.rhs)
     accs = inst.constraints
     step_maps = [acc._steps for acc in accs]
     finals = [acc.final for acc in accs]

@@ -30,8 +30,8 @@ from autsg import (
     oracle_decide,
 )
 from autsg.errors import ConfigBudgetExceeded, NotInverseDeterministic
-from autsg.mealy import _BLOCK, _PowerTable, _thread
-from autsg.wordproblem import EQUAL, NOT_EQUAL, UNDEFINED, _sides
+from autsg.mealy import _BLOCK, _DEFERRED, _PowerTable, _sides, _thread
+from autsg.wordproblem import EQUAL, NOT_EQUAL, UNDEFINED
 
 ORACLE_LEN = 4
 BUDGET = 4000
@@ -90,15 +90,20 @@ def _value(result):
     return result.output if isinstance(result, Defined) else UNDEFINED
 
 
+def _built(power: _PowerTable) -> int:
+    """How many cells the rows of power hold, not deferred to power.cell."""
+    return sum(cell is not _DEFERRED for row in power.rows for cell in row)
+
+
 def _check_blocks(inst: WordProblemInstance, rng: random.Random) -> None:
     """The sides as the search starts them: cut from the right, numbered
     one to one, and stepped on cells built only for the letters read."""
-    power, lhs, rhs = _sides(inst)
-    assert isinstance(power, _PowerTable)
     base = inst.automaton._table
+    power, lhs, rhs = _sides(base, inst.lhs, inst.rhs)
+    assert isinstance(power, _PowerTable)
     signed = [[base.signed(item) for item in side] for side in (inst.lhs, inst.rhs)]
     for side, items in zip((lhs, rhs), signed):
-        blocks = [power.rows[s].items for s in side]
+        blocks = [power.blocks[s] for s in side]
         assert [s for block in blocks for s in block] == items
         assert all(len(block) == _BLOCK for block in blocks[1:])
         assert all(0 < len(block) <= _BLOCK for block in blocks)
@@ -106,10 +111,10 @@ def _check_blocks(inst: WordProblemInstance, rng: random.Random) -> None:
         assert (lhs[-1] == rhs[-1]) == (signed[0][-_BLOCK:] == signed[1][-_BLOCK:])
     # thread a word on both tables side by side
     sides = [[list(lhs), list(items)] for lhs, items in zip((lhs, rhs), signed)]
-    assert not any(power.rows)  # no cell before a letter is read
+    assert _built(power) == 0  # no cell before a letter is read
     for _ in range(6):
         a = rng.randrange(base.width)
-        built = sum(map(len, power.rows))
+        built = _built(power)
         stepped = 0
         for side in sides:
             blocks, items = side
@@ -121,8 +126,8 @@ def _check_blocks(inst: WordProblemInstance, rng: random.Random) -> None:
             if out is None:
                 side[0] = None
             else:
-                assert [s for b in blocks for s in power.rows[b].items] == items
-        assert sum(map(len, power.rows)) - built <= stepped
+                assert [s for b in blocks for s in power.blocks[b]] == items
+        assert _built(power) - built <= stepped
 
 
 def test_long_sides_agree_with_the_literal_enumeration():

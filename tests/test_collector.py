@@ -8,7 +8,8 @@ check_properties fill and read lists of ints, which the collector does not
 track, so on the machine tables they start no collection. minimize starts
 none either: it keeps one tuple key per class and frees the others as it
 makes them. A pause around the transitions derived from a table would only
-defer its collections to the next allocation.
+defer its collections to the next allocation. The search leaves no
+reference cycle behind, so what it built is freed when it returns.
 """
 
 import gc
@@ -144,6 +145,16 @@ UNPAUSED = {
 def test_no_collection_runs_inside_the_table_builders(call):
     with _collector(True):
         assert _collections_during(call) == 0
+
+
+@pytest.mark.parametrize("n", [10, 16])
+def test_a_blocked_search_leaves_nothing_for_the_collector(n):
+    # the search steps these sides in blocks; the power table and its rows
+    # hold no reference cycle, so reference counting frees them all
+    with _collector(False):
+        gc.collect()
+        decide(separation_instance("dual-adding", n))
+        assert gc.collect() == 0
 
 
 def test_the_pause_wraps_exactly_the_entry_points_that_pay():

@@ -283,7 +283,7 @@ def test_every_carried_row_is_the_row_built_afresh(group):
     # before any step, a build carries every signed row of its counters and
     # none of its DFA copies; stepped, all its rows, inverted ones included,
     # equal the rows of the same table built again from its cells (these
-    # automata are inverse-deterministic, so no cell is _AMBIGUOUS)
+    # automata are inverse-deterministic, so no cell is _DEFERRED)
     rng = random.Random(20)
     for trial in range(12):
         r = rng.randint(1, 6)
