@@ -475,6 +475,11 @@ class _Table:
         self.rows[s] = row
         return row
 
+    def fixes(self, a: int) -> bool:
+        """Whether every state emits letter a on a and stays where it is."""
+        n, width = len(self.states), self.width
+        return self.outs[a::width] == [a] * n and self.targets[a::width] == list(range(n))
+
     def cell(self, s: int, letter: int):
         """The cell row s defers: raise, as the inverse s steps ambiguously."""
         raise NotInverseDeterministic(

@@ -122,7 +122,8 @@ def reduce_dfa_intersection(d: DfaList, group_variant: bool = False) -> WordProb
             table.add(name[q], "#", "#", f"kp{k}_0" if q in acc.final else f"sw{k}_0")
     aut = MealyAutomaton._of(table)
     copies = [f"dfa{k}_{next(iter(acc.initial))}" for k, acc in enumerate(d.dfas, start=1)]
-    lhs, rhs = StateSequence(["check"] + copies[::-1]), StateSequence(["flip"] + copies[::-1])
+    tail = StateSequence(copies[::-1]).items  # coerced once, shared by both sides
+    lhs, rhs = StateSequence(["check", *tail]), StateSequence(["flip", *tail])
     return WordProblemInstance(aut, lhs, rhs, [_tail_ones(d.r)] if group_variant else [])
 
 

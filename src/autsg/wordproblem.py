@@ -13,7 +13,12 @@ acceptor subset meets its final states and either both sides are alive with
 diverged outputs or exactly one side is alive. Deduplication is sound because
 the witness predicate and the successor relation depend only on the
 configuration, and breadth-first order with letter-sorted expansion makes the
-returned witness the length-then-lex least one. This module only searches:
+returned witness the length-then-lex least one. A letter that every state
+emits on itself staying put, and on which every acceptor state steps to itself
+alone, maps each configuration to itself: both sides emit it, and an inverted
+~q stays too, as q emits it on that letter alone or the instance was rejected
+when built. Its child is always stored already, so the search skips that
+letter from depth 4 on. This module only searches:
 how a side consumes a letter (mealy._thread) and how a constraint subset
 steps (mealy._subset_step) are the kernels in mealy.py, and so is the
 representation of the sides (mealy._sides): tuples of signed-state ints on
@@ -173,9 +178,13 @@ def _search(
     max_depth: int | None,
     max_configs: int | None,
 ) -> Verdict:
-    table, lhs, rhs = _sides(inst.automaton._table, inst.lhs, inst.rhs)
+    base = inst.automaton._table
+    table, lhs, rhs = _sides(base, inst.lhs, inst.rhs)
     accs = inst.constraints
     step_maps = [acc._steps for acc in accs]
+    # from depth 4 on, only the letters whose child may differ from its config
+    # (module docstring): the many small searches that end sooner skip the test
+    moves, skip_at = list(enumerate(base.letters)), 4
     finals = [acc.final for acc in accs]
     init = (lhs, rhs, tuple(acc.initial for acc in accs), False)
     # config -> (parent config, letter read, lhs output, rhs output)
@@ -185,8 +194,14 @@ def _search(
         cfg, depth = queue.popleft()
         if max_depth is not None and depth >= max_depth:
             continue
+        if depth == skip_at:
+            skip_at = None
+            moves = [
+                (a, letter) for a, letter in moves if not base.fixes(a)
+                or any(acc._steps.get((q, letter)) != {q} for acc in accs for q in acc.states)
+            ]
         lhs, rhs, subs, diverged = cfg
-        for a, letter in enumerate(table.letters):
+        for a, letter in moves:
             new_subs = []
             for m, sub in zip(step_maps, subs):
                 nxt = _subset_step(m, sub, letter)

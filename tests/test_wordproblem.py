@@ -19,13 +19,16 @@ from hypothesis import strategies as st
 from autsg import (
     Acceptor,
     ConfigBudgetExceeded,
+    Defined,
     EQUAL,
     MealyAutomaton,
     NOT_EQUAL,
     NotInverseDeterministic,
     SignedState,
     UNDEFINED,
+    Verdict,
     WordProblemInstance,
+    acceptor_accepts,
     act_word,
     build_gadget,
     check_properties,
@@ -209,20 +212,48 @@ def test_oracle_rejects_negative_bound():
         oracle_decide(WordProblemInstance(ADDING, S(), S()), -1)
 
 
-def _random_automaton(rng: random.Random, states, letters) -> MealyAutomaton:
+def _random_automaton(rng: random.Random, states, letters, fixed=None) -> MealyAutomaton:
+    """A random partial automaton over letters. With a letter fixed, every
+    state also emits fixed on itself and stays put, and half the time the
+    states permute letters, so that inverted items are common."""
+    permuting = fixed is not None and rng.random() < 0.5
     trans = {}
     for q in states:
-        for a in letters:
-            if rng.random() < 0.8:
+        outs = rng.sample(letters, len(letters)) if permuting else None
+        for i, a in enumerate(letters):
+            if permuting:
+                trans[(q, a)] = (outs[i], rng.choice(states))
+            elif rng.random() < 0.8:
                 trans[(q, a)] = (rng.choice(letters), rng.choice(states))
-    return MealyAutomaton("rand", letters, states, trans)
+        if fixed is not None:
+            trans[(q, fixed)] = (fixed, q)
+    alphabet = letters if fixed is None else [*letters, fixed]
+    return MealyAutomaton("rand", alphabet, states, trans)
 
 
-def _random_instance(rng: random.Random) -> WordProblemInstance:
+def _at_least(n: int, counted, alphabet) -> Acceptor:
+    """The words over alphabet with at least n letters in counted."""
+    states = [f"d{i}" for i in range(n + 1)]
+    trans = {
+        (q, c, states[min(i + 1, n)] if c in counted else q)
+        for i, q in enumerate(states)
+        for c in alphabet
+    }
+    return Acceptor(f"at-least-{n}", alphabet, states, trans, states[:1], states[-1:])
+
+
+def _random_instance(rng: random.Random, fixed=None) -> WordProblemInstance:
+    """A random instance over x and y with sides of up to 2 items. With a
+    letter fixed, the automaton fixes it too (_random_automaton), sides run
+    to 12 items half the time, past the 8 beyond which the search steps
+    blocks, the random constraint steps on fixed from each state to itself
+    half the time, the case in which the search skips that letter, and half
+    the time a second one takes only words with at least 6 x, 6 y or 6 of
+    both, so that the search goes past the depth from which it skips."""
     n_states = rng.randint(1, 3)
     states = [f"q{i}" for i in range(n_states)]
     letters = ["x", "y"]
-    aut = _random_automaton(rng, states, letters)
+    aut = _random_automaton(rng, states, letters, fixed)
     inv_ok = check_properties(aut).inverse_deterministic
 
     def item():
@@ -231,8 +262,9 @@ def _random_instance(rng: random.Random) -> WordProblemInstance:
             return f"~{q}"
         return q
 
-    lhs = S(*[item() for _ in range(rng.randint(0, 2))])
-    rhs = S(*[item() for _ in range(rng.randint(0, 2))])
+    most = 2 if fixed is None else rng.choice((2, 12))
+    lhs = S(*[item() for _ in range(rng.randint(0, most))])
+    rhs = S(*[item() for _ in range(rng.randint(0, most))])
     constraints = []
     if rng.random() < 0.5:
         acc_states = ["s0", "s1"]
@@ -241,16 +273,24 @@ def _random_instance(rng: random.Random) -> WordProblemInstance:
             for a in letters:
                 if rng.random() < 0.7:
                     acc_trans.add((q, a, rng.choice(acc_states)))
+        if fixed is not None:
+            stays = rng.random() < 0.5
+            for q in acc_states:
+                if stays or rng.random() < 0.7:
+                    acc_trans.add((q, fixed, q if stays else rng.choice(acc_states)))
         constraints.append(
             Acceptor(
                 "c",
-                letters,
+                aut.alphabet,
                 acc_states,
                 acc_trans,
                 ["s0"],
                 rng.sample(acc_states, rng.randint(1, 2)),
             )
         )
+    if fixed is not None and rng.random() < 0.5:
+        counted = rng.choice((["x"], ["y"], letters))
+        constraints.append(_at_least(6, counted, aut.alphabet))
     return WordProblemInstance(aut, lhs, rhs, constraints)
 
 
@@ -422,3 +462,213 @@ def test_empty_word_never_witnesses():
     inst = WordProblemInstance(D, S("0"), S("1"), [b_star()])
     v = decide(inst)
     assert v.kind == EQUAL or v.witness != ()
+
+
+# ------------------------------------------------- letters the search skips
+#
+# A letter that every state emits on itself while staying put, and on which
+# every constraint state steps to itself alone, maps each configuration to
+# itself, so the search stops trying it once it is a few letters deep. These
+# tests pin that the skip keeps every verdict, witness and stored
+# configuration, on searches that go past that depth.
+
+FIXED_ORACLE_LEN = 4
+FIXED_BUDGET = 4000
+DEEP = 8  # letters, well past the depth from which the search skips
+
+
+def _skips(inst: WordProblemInstance, fixed: str) -> bool:
+    """Whether each constraint state steps on fixed to itself alone (the
+    automata of _random_instance always fix it)."""
+    return all(
+        {p for (s, a, p) in acc.transitions if (s, a) == (q, fixed)} == {q}
+        for acc in inst.constraints
+        for q in acc.states
+    )
+
+
+def _unskipped(inst: WordProblemInstance) -> WordProblemInstance:
+    """inst with one more constraint, which accepts every word but changes
+    state on every letter, so that the search skips none."""
+    letters = inst.automaton.alphabet
+    trans = {(q, c, p) for q, p in ("uv", "vu") for c in letters}
+    swap = Acceptor("swap", letters, "uv", trans, "u", "uv")
+    return WordProblemInstance(inst.automaton, inst.lhs, inst.rhs, [*inst.constraints, swap])
+
+
+def test_skipped_letters_keep_every_verdict():
+    rng = random.Random(2611)
+    decided = skipped = constrained = blocked = inverted = deep = short = 0
+    for i in range(600):
+        fixed = "amz"[i % 3]  # before, between and after x and y
+        inst = _random_instance(rng, fixed)
+        naive = oracle_decide(inst, FIXED_ORACLE_LEN, naive=True)
+        assert oracle_decide(inst, FIXED_ORACLE_LEN) == naive
+        try:
+            verdict = decide(inst, max_configs=FIXED_BUDGET)
+            unskipped = decide(_unskipped(inst), max_configs=2 * FIXED_BUDGET)
+        except ConfigBudgetExceeded:
+            continue
+        decided += 1
+        assert unskipped == verdict
+        if _skips(inst, fixed):
+            skipped += 1
+            constrained += bool(inst.constraints)
+            blocked += max(len(inst.lhs), len(inst.rhs)) > 8
+            inverted += all(any(it.inverted for it in side) for side in (inst.lhs, inst.rhs))
+            deep += verdict.kind == NOT_EQUAL and len(verdict.witness) > 5
+        if verdict.kind == NOT_EQUAL:
+            w = verdict.witness
+            values = [act_word(inst.automaton, side, w) for side in (inst.lhs, inst.rhs)]
+            values = [v.output if isinstance(v, Defined) else UNDEFINED for v in values]
+            assert values == [verdict.lhs_value, verdict.rhs_value] and values[0] != values[1]
+            assert all(acceptor_accepts(acc, w) for acc in inst.constraints)
+        if verdict.kind == NOT_EQUAL and len(verdict.witness) <= FIXED_ORACLE_LEN:
+            short += 1
+            assert naive == verdict
+        else:
+            assert naive.kind == EQUAL and naive.bounded
+    assert decided > 580 and short > 100
+    assert skipped > 400 and constrained > 250 and blocked > 90 and inverted > 70 and deep > 60
+
+
+# every state emits a on a and stays put, and no state emits one letter
+# twice, so every inverted item is defined
+FIXES_A = MealyAutomaton(
+    "fixes-a",
+    ("a", "x", "y"),
+    ("p", "q"),
+    {
+        ("p", "a"): ("a", "p"),
+        ("p", "x"): ("y", "q"),
+        ("p", "y"): ("x", "p"),
+        ("q", "a"): ("a", "q"),
+        ("q", "x"): ("x", "p"),
+        ("q", "y"): ("y", "q"),
+    },
+)
+
+# constraints that step on a from each state to itself, so a stays skipped:
+# at least 6 letters other than a, no x, an odd number of y
+LONG = _at_least(6, "xy", "axy")
+NO_X = Acceptor(
+    "no-x", ("a", "x", "y"), ("s",), {("s", "a", "s"), ("s", "y", "s")}, ("s",), ("s",)
+)
+ODD_Y = Acceptor(
+    "odd-y",
+    ("a", "x", "y"),
+    ("e", "o"),
+    {(q, c, q) for q in "eo" for c in "ax"} | {("e", "y", "o"), ("o", "y", "e")},
+    ("e",),
+    ("o",),
+)
+
+
+@pytest.mark.parametrize(
+    "lhs, rhs, constraints, witness",
+    [
+        (S("~p", "q"), S("q", "~p"), [LONG], "xxxxxx"),
+        (S("p", "~q", "p"), S("~q", "p", "p"), [LONG, ODD_Y], "xxxxxy"),
+        (S("~p", "~p"), S("~q"), [LONG], "xxxxyx"),
+        (S("~q", "q"), S(), [LONG, NO_X], None),
+        # both sides blocked
+        (S(*["~p", "q", "q"] * 3), S(*["q", "~p"] * 5), [LONG, NO_X], "yyyyyy"),
+        (S(*["~p", "q", "q"] * 3), S(*["q", "~p"] * 5), [LONG, ODD_Y], "xxxxxy"),
+    ],
+)
+def test_inverted_items_under_a_skipped_letter(lhs, rhs, constraints, witness):
+    assert check_properties(FIXES_A).inverse_deterministic
+    inst = WordProblemInstance(FIXES_A, lhs, rhs, constraints)
+    verdict = decide(inst)
+    assert verdict == decide(_unskipped(inst))
+    if witness is None:
+        assert verdict.kind == EQUAL
+        assert oracle_decide(inst, DEEP, naive=True) == Verdict(EQUAL, bounded=True)
+    else:
+        assert verdict.witness == W(witness)
+        assert oracle_decide(inst, len(witness), naive=True) == verdict
+        assert oracle_decide(inst, len(witness)) == verdict
+
+
+@pytest.mark.parametrize("item", ["~0", "~1"])
+def test_an_inverse_reaching_a_second_source_of_the_fixed_letter_is_rejected(item):
+    # in dual-adding every state emits b on b and stays put, but 0 emits b
+    # on a too; ~0, and ~1, which reaches 0, are rejected when built, so
+    # the skip never meets the ambiguous step
+    with pytest.raises(NotInverseDeterministic):
+        WordProblemInstance(D, S(item), S())
+    with pytest.raises(NotInverseDeterministic):
+        WordProblemInstance(D, S("0"), S("1", item))
+
+
+def _chain(name: str, tail, finals) -> Acceptor:
+    """An acceptor that reads a^DEEP from c0 to c{DEEP}, with no step on b,
+    and then the transitions tail."""
+    trans = {(f"c{i}", "a", f"c{i + 1}") for i in range(DEEP)} | set(tail)
+    states = {q for (q, _, p) in trans for q in (q, p)}
+    return Acceptor(name, ("a", "b"), states, trans, ("c0",), finals)
+
+
+# every state emits b on b and stays put; p and r differ on a
+FIXES_B = MealyAutomaton(
+    "fixes-b",
+    ("a", "b"),
+    ("p", "r"),
+    {
+        ("p", "a"): ("a", "p"),
+        ("p", "b"): ("b", "p"),
+        ("r", "a"): ("b", "r"),
+        ("r", "b"): ("b", "r"),
+    },
+)
+
+
+def test_a_constraint_that_moves_on_the_fixed_letter_keeps_it():
+    # the constraint accepts a^DEEP b (a|b)*, so every witness reads b after
+    # the search is DEEP letters deep; skipping b would answer Equal
+    tail = [(f"c{DEEP}", "b", "t"), ("t", "a", "t"), ("t", "b", "t")]
+    inst = WordProblemInstance(FIXES_B, S("p"), S("r"), [_chain("late-b", tail, ("t",))])
+    verdict = decide(inst)
+    assert verdict.witness == W("a" * DEEP + "b")
+    assert (verdict.lhs_value, verdict.rhs_value) == (W("a" * DEEP + "b"), W("b" * (DEEP + 1)))
+    assert oracle_decide(inst, DEEP + 1, naive=True) == verdict
+
+
+def test_a_constraint_state_with_no_step_on_the_fixed_letter_keeps_it():
+    # after a^DEEP the subset is {s0, s1}, and b takes it to {s0}, as s1 has
+    # no step on b: one more configuration, which the search must store.
+    # (When each constraint state steps on b to itself or nowhere, deleting
+    # the b's of a witness leaves a shorter one, so a skip could change the
+    # stored configurations only, not the verdict.)
+    tail = [(f"c{DEEP}", "a", "s0"), (f"c{DEEP}", "a", "s1")]
+    tail += [("s0", "a", "s0"), ("s0", "b", "s0"), ("s1", "a", "s1")]
+    drops = _chain("drops", tail, ("s1",))
+    inst = WordProblemInstance(FIXES_B, S("p"), S("p"), [drops])
+    # c0 .. c{DEEP}, {s0, s1} and {s0}
+    with pytest.raises(ConfigBudgetExceeded) as exc:
+        decide(inst, max_configs=DEEP + 2)
+    assert (exc.value.configs, exc.value.depth) == (DEEP + 3, DEEP + 2)
+    assert decide(inst).kind == EQUAL
+
+
+def test_a_letter_that_moves_a_state_is_kept():
+    # every state emits b on b, but p moves to r on it; with at least DEEP
+    # a's the least witness reads b only at DEEP - 1 letters deep, so that
+    # skipping b there would give a later witness
+    moves_on_b = MealyAutomaton(
+        "moves-on-b",
+        ("a", "b"),
+        ("p", "r", "s"),
+        {
+            ("p", "a"): ("a", "p"),
+            ("p", "b"): ("b", "r"),
+            ("r", "a"): ("b", "r"),
+            ("r", "b"): ("b", "r"),
+            ("s", "a"): ("a", "s"),
+            ("s", "b"): ("b", "s"),
+        },
+    )
+    inst = WordProblemInstance(moves_on_b, S("p"), S("s"), [_at_least(DEEP, "a", "ab")])
+    verdict = decide(inst)
+    assert verdict.witness == W("a" * (DEEP - 1) + "ba")
+    assert oracle_decide(inst, DEEP + 1, naive=True) == verdict
