@@ -14,7 +14,7 @@ import functools
 import sys
 from dataclasses import fields as dataclass_fields
 
-from .errors import AutomatonError, ConfigBudgetExceeded, ParseError
+from .errors import AutomatonError, ConfigBudgetExceeded
 from .gadgets import GADGET_NAMES, build_gadget, separation_instance
 from .mealy import Defined, act_word, check_properties
 from .reductions import DfaList, reduce_dfa_emptiness, reduce_dfa_intersection
@@ -40,9 +40,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _single(mapping: dict, kind: str):
     if len(mapping) != 1:
-        raise ValueError(
-            f"expected exactly one {kind} in the file, found {len(mapping)}"
-        )
+        raise AutomatonError(f"expected exactly one {kind} in the file, found {len(mapping)}")
     return next(iter(mapping.values()))
 
 
@@ -58,7 +56,7 @@ def _verdict_line(verdict, porcelain: bool) -> str:
 def _cmd_check(args) -> int:
     doc = parse_file(args.file)
     if not doc.automata:
-        raise ValueError("no automaton in the file")
+        raise AutomatonError("no automaton in the file")
     for name, automaton in doc.automata.items():
         report = check_properties(automaton)
         parts = [
@@ -86,7 +84,7 @@ def _cmd_act(args) -> int:
 
 def _instances(doc):
     if not doc.instances:
-        raise ValueError("no instance in the file")
+        raise AutomatonError("no instance in the file")
     for parsed in doc.instances:
         yield parsed, doc.resolve(parsed)
 
@@ -239,7 +237,7 @@ def run(argv=None) -> int:
     except ConfigBudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ParseError, AutomatonError, ValueError, OSError) as exc:
+    except (AutomatonError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

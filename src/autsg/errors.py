@@ -2,13 +2,14 @@
 
 Everything raised on purpose derives from AutomatonError so callers (and the
 CLI) can catch one base class for "bad input or bad usage" and let genuine
-bugs propagate.
+bugs propagate. AutomatonError is a ValueError, as json.JSONDecodeError is;
+a sequence item that is not a str or a SignedState raises TypeError.
 """
 
 from __future__ import annotations
 
 
-class AutomatonError(Exception):
+class AutomatonError(ValueError):
     """Base class for all errors raised by this package."""
 
 

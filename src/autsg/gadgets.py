@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 from typing import Callable
 
+from .errors import AutomatonError
 from .mealy import MealyAutomaton, StateSequence
 from .wordproblem import WordProblemInstance
 
@@ -105,13 +106,9 @@ GADGET_NAMES: dict[str, Callable[[], MealyAutomaton]] = {
 
 def build_gadget(name: str) -> MealyAutomaton:
     """Construct the example automaton called name, a GADGET_NAMES key."""
-    try:
-        builder = GADGET_NAMES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown gadget {name!r}; expected one of {sorted(GADGET_NAMES)}"
-        ) from None
-    return builder()
+    if name not in GADGET_NAMES:
+        raise AutomatonError(f"unknown gadget {name!r}; expected one of {sorted(GADGET_NAMES)}")
+    return GADGET_NAMES[name]()
 
 
 def counter_sequence(value: int, width: int) -> StateSequence:
@@ -119,7 +116,7 @@ def counter_sequence(value: int, width: int) -> StateSequence:
     digit rightmost (the rightmost item acts first, so acting on letter a
     increments)."""
     if not 0 <= value < 2**width:
-        raise ValueError(f"value {value} does not fit in {width} digits")
+        raise AutomatonError(f"value {value} does not fit in {width} digits")
     digits = [str((value >> i) & 1) for i in range(width)]
     return StateSequence(reversed(digits))
 
@@ -132,13 +129,13 @@ def separation_instance(name: str, n: int) -> WordProblemInstance:
     copies of state 0 against the constant state q: q always emits b, and
     the counter first emits a when it overflows."""
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise AutomatonError("n must be >= 1")
     if name == "dual-adding":
         lhs, rhs = ["0"] * n, ["0"] * (n - 1)
     elif name == "dual-adding-prime":
         lhs, rhs = ["0"] * (n - 1), ["q"]
     else:
-        raise ValueError(
+        raise AutomatonError(
             f"separation instances exist only for the dual-adding gadgets, not {name!r}"
         )
     return WordProblemInstance(build_gadget(name), lhs, rhs)

@@ -62,6 +62,7 @@ from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import (
+    AutomatonError,
     NotInverseDeterministic,
     ReservedTokenCollision,
     UnknownLetter,
@@ -96,9 +97,9 @@ def _gc_paused(fn):
 
 def _check_token(tok: str, what: str) -> None:
     if not isinstance(tok, str) or not tok:
-        raise ValueError(f"{what} must be a non-empty string, got {tok!r}")
+        raise AutomatonError(f"{what} must be a non-empty string, got {tok!r}")
     if tok.split() != [tok]:
-        raise ValueError(f"{what} may not contain whitespace: {tok!r}")
+        raise AutomatonError(f"{what} may not contain whitespace: {tok!r}")
 
 
 def _checked_tokens(
@@ -112,7 +113,7 @@ def _checked_tokens(
     for tok in letters:
         _check_token(tok, "letter token")
         if tok.startswith("~"):
-            raise ValueError(f"letter token may not begin with '~': {tok!r}")
+            raise AutomatonError(f"letter token may not begin with '~': {tok!r}")
     try:
         bad = "" in states or (joined := "".join(states)).split() != [joined]
     except TypeError:
@@ -214,13 +215,13 @@ class MealyAutomaton:
         width = table.width
         for (q, a), (b, p) in transitions.items():
             if (i := si.get(q)) is None:
-                raise ValueError(f"transition source {q!r} is not a declared state")
+                raise AutomatonError(f"transition source {q!r} is not a declared state")
             if (t := si.get(p)) is None:
-                raise ValueError(f"transition target {p!r} is not a declared state")
+                raise AutomatonError(f"transition target {p!r} is not a declared state")
             if (j := li.get(a)) is None:
-                raise ValueError(f"transition input {a!r} is not in the alphabet")
+                raise AutomatonError(f"transition input {a!r} is not in the alphabet")
             if (o := li.get(b)) is None:
-                raise ValueError(f"transition output {b!r} is not in the alphabet")
+                raise AutomatonError(f"transition output {b!r} is not in the alphabet")
             outs[i * width + j] = o
             targets[i * width + j] = t
         self._wrap(table, alphabet, states)
@@ -318,16 +319,18 @@ class Acceptor:
         transitions = tuple(transitions)
         for (q, a, p) in transitions:  # in the order given, so the error repeats
             if q not in states or p not in states:
-                raise ValueError(f"acceptor transition ({q!r},{a!r},{p!r}) uses undeclared state")
+                raise AutomatonError(
+                    f"acceptor transition ({q!r},{a!r},{p!r}) uses undeclared state"
+                )
             if a not in alphabet:
-                raise ValueError(f"acceptor transition letter {a!r} not in alphabet")
+                raise AutomatonError(f"acceptor transition letter {a!r} not in alphabet")
         transitions = frozenset(transitions)
         initial = frozenset(initial)
         final = frozenset(final)
         if not initial:
-            raise ValueError("acceptor needs at least one initial state")
+            raise AutomatonError("acceptor needs at least one initial state")
         if not initial <= states or not final <= states:
-            raise ValueError("initial/final states must be declared states")
+            raise AutomatonError("initial/final states must be declared states")
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "states", states)
@@ -400,12 +403,12 @@ class _Table:
     def block(self, names: Iterable[State]) -> list[int]:
         """Reserve the next rows, undefined, for the new states names and
         return their indices, the int objects state_index holds. Raises
-        ValueError naming the first name already in the table or repeated."""
+        AutomatonError naming the first name already in the table or repeated."""
         names, start, si = list(names), len(self.states), self.state_index
         index = dict(zip(names, range(start, start + len(names))))
         if len(index) < len(names) or not si.keys().isdisjoint(index):
             q = next(q for i, q in enumerate(names, start) if q in si or index[q] != i)
-            raise ValueError(f"state {q!r} is named twice in table {self.name}")
+            raise AutomatonError(f"state {q!r} is named twice in table {self.name}")
         si.update(index)
         self.states += names
         cells = len(names) * self.width

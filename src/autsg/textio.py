@@ -30,13 +30,14 @@ never the inversion of "q".
 
 Within a block, list lines (alphabet, states, tape, final, constraint and
 an acceptor's initial) add up when repeated; of other repeated lines, lhs
-and rhs among them, the last one wins. _KEYWORDS states the table above
-once: one reader collects a block's lines up to end, checking keywords and
-the size of fixed-size lines, and a builder per kind makes the object. A
-ParseError names its line: a line's own fault names that line, a block its
-constructor rejects names the first line using a token the block does not
-declare, or else the head line, and an instance names the automaton, lhs,
-rhs or constraint line whose name does not resolve.
+and rhs among them, the last one wins. _BLOCKS states the table above
+once, with the builder of each kind: one reader collects a block's lines up
+to end, checking keywords and the size of fixed-size lines, and the builder
+makes the object. A ParseError names its line: a line's own fault names
+that line, a block its constructor rejects names the first line using a
+token the block does not declare, or else the head line, an instance names
+the automaton, lhs, rhs or constraint line whose name does not resolve, and
+bytes that are not UTF-8 name the line of the first one in their file.
 
 Serializers emit blocks with sorted alphabets, states and transitions, so
 output is deterministic; they refuse tokens that would not survive a parse
@@ -99,7 +100,7 @@ class DocumentSet:
         rhs = [_resolve_seq_token(t, automaton, at_rhs) for t in parsed.rhs_tokens]
         try:
             return WordProblemInstance(automaton, lhs, rhs, constraints)
-        except (ValueError, AutomatonError) as exc:
+        except AutomatonError as exc:
             raise ParseError(str(exc), parsed.line) from exc
 
 
@@ -127,8 +128,18 @@ def resolve_sequence(tokens, automaton: MealyAutomaton) -> StateSequence:
 def parse_file(path: str | Path) -> DocumentSet:
     path = Path(path)
     doc = DocumentSet()
-    _parse_into(doc, path.read_text(encoding="utf-8"), path.parent, {path.resolve()})
+    _parse_into(doc, _read_text(path), path.parent, {path.resolve()})
     return doc
+
+
+def _read_text(path: Path) -> str:
+    """The file's text; a ParseError names the line of its first byte that is
+    not UTF-8, numbered as _rows numbers lines."""
+    try:
+        return path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len((exc.object[: exc.start].decode("utf-8") + ".").splitlines())
+        raise ParseError(f"{path.name} is not UTF-8 text: {exc.reason}", line) from exc
 
 
 @_gc_paused
@@ -163,35 +174,15 @@ def _parse_into(
             if target not in seen:
                 seen.add(target)
                 try:
-                    text2 = target.read_text(encoding="utf-8")
+                    text2 = _read_text(target)
                 except OSError as exc:
                     raise ParseError(f"cannot include {toks[1]!r}: {exc}", lineno) from exc
                 _parse_into(doc, text2, target.parent, seen)
-        elif head in _KEYWORDS:
+        elif head in _BLOCKS:
             _read_block(doc, rows, lineno, toks)
         else:
             raise ParseError(f"unexpected token {head!r} at top level", lineno)
 
-
-# kind -> {keyword: usage of a fixed-size line, None for a line of any length
-# (budget too: its builder checks it)}. A one-word usage such as TOKEN reads
-# "exactly one token" in the error message.
-_KEYWORDS = {
-    "mealy": {"alphabet": None, "states": None, "t": "STATE IN OUT STATE"},
-    "acceptor": {
-        "alphabet": None, "states": None, "initial": None, "final": None,
-        "t": "STATE IN STATE",
-    },
-    "tm": {
-        "tape": None, "blank": "TOKEN", "states": None, "initial": "TOKEN", "final": None,
-        "rule": "STATE READ WRITE MOVE STATE",
-    },
-    "instance": {
-        "automaton": "NAME", "lhs": None, "rhs": None, "constraint": "NAME", "budget": None
-    },
-}
-# the DocumentSet field each named kind is stored in
-_FIELDS = {"mealy": "automata", "acceptor": "acceptors", "tm": "machines"}
 
 _Body = dict[str, list[tuple[int, list[str]]]]
 
@@ -200,7 +191,8 @@ def _read_block(doc: DocumentSet, rows, start: int, head: list[str]) -> None:
     """Read one block from rows (an iterator positioned after its head line)
     up to its end line, collecting the body lines by keyword, then build it
     and store it in doc."""
-    kind, name, field = head[0], None, _FIELDS.get(head[0])
+    kind, name = head[0], None
+    field, usages, build = _BLOCKS[kind]
     if field is None:
         if len(head) != 1:
             raise ParseError("instance head line takes no arguments", start)
@@ -211,14 +203,13 @@ def _read_block(doc: DocumentSet, rows, start: int, head: list[str]) -> None:
         if name in getattr(doc, field):
             noun = "automaton" if kind == "mealy" else kind
             raise ParseError(f"duplicate {noun} name {name!r}", start)
-    usages = _KEYWORDS[kind]
     arity = {kw: len(u.split()) + 1 for kw, u in usages.items() if u is not None}
     body: _Body = {kw: [] for kw in usages}
     for row in rows:
         lineno, toks = row
         keyword = toks[0]
         if keyword == "end" and len(toks) == 1:
-            built = _BUILDERS[kind](name, start, body)
+            built = build(name, start, body)
             if field is None:
                 doc.instances.append(built)
             else:
@@ -271,7 +262,7 @@ def _build_mealy(name: str, start: int, body: _Body) -> MealyAutomaton:
     alphabet, states = _tokens(body["alphabet"]), _tokens(body["states"])
     try:
         return MealyAutomaton(name, alphabet, states, trans)
-    except (ValueError, AutomatonError) as exc:
+    except AutomatonError as exc:
         q, a = set(states), set(alphabet)
         raise ParseError(str(exc), _culprit(start, body, t=(q, a, a, q))) from exc
 
@@ -282,7 +273,7 @@ def _build_acceptor(name: str, start: int, body: _Body) -> Acceptor:
     triples = [(q, a, p) for _, (_, q, a, p) in body["t"]]
     try:
         return Acceptor(name, alphabet, states, triples, initial, final)
-    except (ValueError, AutomatonError) as exc:
+    except AutomatonError as exc:
         q, a = set(states), set(alphabet)
         line = _culprit(start, body, t=(q, a, q), initial=q, final=q)
         raise ParseError(str(exc), line) from exc
@@ -304,7 +295,7 @@ def _build_tm(name: str, start: int, body: _Body) -> TuringMachineSpec:
     tape, states, final = (_tokens(body[kw]) for kw in ("tape", "states", "final"))
     try:
         return TuringMachineSpec(name, tape, blank[0], states, initial[0], final, rules)
-    except (ValueError, AutomatonError) as exc:
+    except AutomatonError as exc:
         z, g = set(states), set(tape)
         line = _culprit(start, body, blank=g, initial=z, final=z, rule=(z, g, g, None, z))
         raise ParseError(str(exc), line) from exc
@@ -328,11 +319,25 @@ def _build_instance(_name: None, start: int, body: _Body) -> ParsedInstance:
     return ParsedInstance(automaton[0], tuple(lhs), tuple(rhs), constraints, budget, start, lines)
 
 
-_BUILDERS = {
-    "mealy": _build_mealy,
-    "acceptor": _build_acceptor,
-    "tm": _build_tm,
-    "instance": _build_instance,
+# kind -> (the DocumentSet field a named kind is stored in, {keyword: usage of
+# a fixed-size line, None for a line of any length (budget too: its builder
+# checks it)}, builder). A one-word usage such as TOKEN reads "exactly one
+# token" in the error message.
+_BLOCKS = {
+    "mealy": ("automata", {
+        "alphabet": None, "states": None, "t": "STATE IN OUT STATE",
+    }, _build_mealy),
+    "acceptor": ("acceptors", {
+        "alphabet": None, "states": None, "initial": None, "final": None,
+        "t": "STATE IN STATE",
+    }, _build_acceptor),
+    "tm": ("machines", {
+        "tape": None, "blank": "TOKEN", "states": None, "initial": "TOKEN", "final": None,
+        "rule": "STATE READ WRITE MOVE STATE",
+    }, _build_tm),
+    "instance": (None, {
+        "automaton": "NAME", "lhs": None, "rhs": None, "constraint": "NAME", "budget": None
+    }, _build_instance),
 }
 
 
@@ -347,7 +352,7 @@ def _block(head: str, lines) -> str:
     text = "\n".join([head, *map(" ".join, lines), "end\n"])
     if "%" in text:
         tok = next(t for t in text.split() if "%" in t)
-        raise ValueError(f"token {tok!r} contains '%' and would parse as a comment")
+        raise AutomatonError(f"token {tok!r} contains '%' and would parse as a comment")
     return text
 
 
@@ -395,7 +400,7 @@ def sequence_tokens(seq: StateSequence, automaton: MealyAutomaton) -> list[str]:
             continue
         tok = "~" + item.base
         if tok in automaton.states:
-            raise ValueError(
+            raise AutomatonError(
                 f"cannot serialize inverted {item.base!r}: a state is literally "
                 f"named {tok!r}"
             )
@@ -413,7 +418,7 @@ def serialize_instance(
     for acc in instance.constraints:
         if acc.name in emitted:
             if emitted[acc.name] != acc:
-                raise ValueError(
+                raise AutomatonError(
                     f"two different constraint acceptors share the name {acc.name!r}"
                 )
             continue

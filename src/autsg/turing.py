@@ -39,11 +39,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping
 
-from .errors import (
-    LeftEdgeViolated,
-    NotGAutomaton,
-    SpaceBoundViolated,
-)
+from .errors import AutomatonError, LeftEdgeViolated, NotGAutomaton, SpaceBoundViolated
 from .mealy import (
     Acceptor,
     MealyAutomaton,
@@ -107,30 +103,30 @@ class TuringMachineSpec:
         for g in tape_alphabet:  # in the order given, so the error repeats
             _check_token(g, "tape symbol")
             if ":" in g or "|" in g:
-                raise ValueError(f"tape symbol may not contain ':' or '|': {g!r}")
+                raise AutomatonError(f"tape symbol may not contain ':' or '|': {g!r}")
             if g in _RESERVED_LETTERS:
-                raise ValueError(f"tape symbol {g!r} collides with a reserved letter")
+                raise AutomatonError(f"tape symbol {g!r} collides with a reserved letter")
             if g.startswith("~"):
-                raise ValueError(f"tape symbol may not begin with '~': {g!r}")
+                raise AutomatonError(f"tape symbol may not begin with '~': {g!r}")
         for z in states:
             _check_token(z, "machine state")
             if ":" in z or "|" in z:
-                raise ValueError(f"machine state may not contain ':' or '|': {z!r}")
+                raise AutomatonError(f"machine state may not contain ':' or '|': {z!r}")
         tape_alphabet, states, finals = map(frozenset, (tape_alphabet, states, finals))
         if blank not in tape_alphabet:
-            raise ValueError(f"blank {blank!r} must be in the tape alphabet")
+            raise AutomatonError(f"blank {blank!r} must be in the tape alphabet")
         if initial not in states:
-            raise ValueError(f"initial state {initial!r} not declared")
+            raise AutomatonError(f"initial state {initial!r} not declared")
         if not finals <= states:
-            raise ValueError("final states must be declared states")
+            raise AutomatonError("final states must be declared states")
         total = dict(rules)
         for (z, g), (g2, z2, move) in total.items():
             if z not in states or g not in tape_alphabet:
-                raise ValueError(f"rule key ({z!r}, {g!r}) uses undeclared tokens")
+                raise AutomatonError(f"rule key ({z!r}, {g!r}) uses undeclared tokens")
             if z2 not in states or g2 not in tape_alphabet:
-                raise ValueError(f"rule value for ({z!r}, {g!r}) uses undeclared tokens")
+                raise AutomatonError(f"rule value for ({z!r}, {g!r}) uses undeclared tokens")
             if move not in MOVES:
-                raise ValueError(f"move must be one of {MOVES}, got {move!r}")
+                raise AutomatonError(f"move must be one of {MOVES}, got {move!r}")
         for z in states:
             for g in tape_alphabet:
                 total.setdefault((z, g), (g, z, "N"))
@@ -170,9 +166,9 @@ class TmReductionParams:
 
     def __post_init__(self):
         if self.p_val < 1:
-            raise ValueError("p_val must be >= 1")
+            raise AutomatonError("p_val must be >= 1")
         if len(self.input_word) > self.p_val:
-            raise ValueError("input word longer than the space bound p_val")
+            raise AutomatonError("input word longer than the space bound p_val")
         object.__setattr__(self, "input_word", tuple(self.input_word))
         object.__setattr__(self, "k", self.p_val.bit_length())
 
@@ -180,7 +176,7 @@ class TmReductionParams:
 def _validate_input_word(tm: TuringMachineSpec, params: TmReductionParams) -> None:
     for tok in params.input_word:
         if tok not in tm.tape_alphabet or tok == tm.blank:
-            raise ValueError(
+            raise AutomatonError(
                 f"input token {tok!r} must be a non-blank tape symbol of {tm.name}"
             )
 
@@ -290,7 +286,7 @@ def encode_computation(
     followed by an all-zero k-block, configurations are separated by #, and
     the suffix is $ 0^k $ 0."""
     if T < 1:
-        raise ValueError("need at least one computation step")
+        raise AutomatonError("need at least one computation step")
     sim = simulate_tm(tm, params, T)
     k = params.k
     parts: list[str] = []

@@ -45,7 +45,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import ConfigBudgetExceeded
+from .errors import AutomatonError, ConfigBudgetExceeded
 from .mealy import (
     Acceptor,
     Defined,
@@ -106,14 +106,14 @@ class WordProblemInstance:
         for seq in (lhs, rhs):
             for item in seq:
                 if item.base not in automaton.states:
-                    raise ValueError(
+                    raise AutomatonError(
                         f"sequence item {item!r} is not a state of {automaton.name}"
                     )
                 if item.inverted:
                     automaton._table.check_inverse(item)
         for acc in constraints:
             if acc.alphabet != automaton.alphabet:
-                raise ValueError(
+                raise AutomatonError(
                     f"constraint {acc.name} alphabet differs from {automaton.name}'s"
                 )
         object.__setattr__(self, "automaton", automaton)
@@ -249,7 +249,7 @@ def decide(inst: WordProblemInstance, max_configs: int | None = None) -> Verdict
     the caller-supplied cap, which must be at least 1; with no cap,
     termination follows from the finite configuration space (see config_bound)."""
     if max_configs is not None and max_configs < 1:
-        raise ValueError("max_configs must be >= 1")
+        raise AutomatonError("max_configs must be >= 1")
     return _search(inst, max_depth=None, max_configs=max_configs)
 
 
@@ -266,7 +266,7 @@ def oracle_decide(
     the literal enumeration and is only sensible for small bounds.
     """
     if max_len < 0:
-        raise ValueError("max_len must be >= 0")
+        raise AutomatonError("max_len must be >= 0")
     if not naive:
         return _search(inst, max_depth=max_len, max_configs=None)
     automaton = inst.automaton

@@ -305,6 +305,27 @@ def test_input_errors_exit_2(tmp_path, capsys):
     assert "line " in err and "~r" in err
 
 
+def test_bytes_that_are_not_utf8_exit_2_naming_their_line(tmp_path, capsys):
+    bad = tmp_path / "bad.inst"
+    bad.write_bytes(b"% line 1\nmealy \xff\n")
+    main = _write(tmp_path, "main.inst", "% line 1\ninclude bad.inst\n")
+    for f in (str(bad), main):
+        assert run(["decide", f]) == 2
+        assert capsys.readouterr().err.startswith("error: line 2: bad.inst is not UTF-8")
+
+
+def test_a_value_error_that_is_not_an_input_error_propagates(tmp_path, monkeypatch):
+    f = _write(tmp_path, "sep.inst", serialize_instance(separation_instance("dual-adding", 2)))
+    assert run(["decide", f]) == 10
+
+    def bug(*args, **kwargs):
+        raise ValueError("bug")
+
+    monkeypatch.setattr("autsg.cli.decide", bug)
+    with pytest.raises(ValueError, match="^bug$"):
+        run(["decide", f])
+
+
 def test_subprocess_smoke(adding_file):
     proc = subprocess.run(
         [sys.executable, "-m", "autsg", "act", adding_file,

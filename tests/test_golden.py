@@ -80,7 +80,7 @@ GOLDEN = {
     "reduce_dfa_intersection r 4..6":
         "500959b7265a8c85847fa359e73b0bd2a4fa9c07c853c57aefba94c266d40825",
     "derived automata":
-        "396ec989f30ad87bffa2ec3406310ffc4288d33e9b946e90d0e87a30bf1ed254",
+        "3839520bccb3693b02dc13f5f93f53059efe89f5ded9ba275b138d6fe1f268eb",
 }
 
 

@@ -285,6 +285,51 @@ def test_include_errors(tmp_path):
         parse_file(main)
 
 
+# 0xff is never UTF-8; on line 2, after a comment line
+NOT_UTF8 = b"% a comment\nmealy m \xff\nalphabet a\nstates q\nend\n"
+
+
+def test_bytes_that_are_not_utf8_name_their_line(tmp_path):
+    bad = tmp_path / "bad.aut"
+    bad.write_bytes(NOT_UTF8)
+    main = tmp_path / "main.aut"
+    main.write_text("% line 1\ninclude bad.aut\n", encoding="utf-8")
+    for path in (bad, main):
+        with pytest.raises(ParseError, match="^line 2: bad.aut is not UTF-8") as exc:
+            parse_file(path)
+        assert exc.value.line == 2
+        assert isinstance(exc.value.__cause__, UnicodeDecodeError)
+
+
+@pytest.mark.parametrize(
+    "data, line",
+    [
+        (b"\xffmealy m\n", 1),
+        (b"mealy m\r\n\r\nalphabet \xe2\x82\n", 3),  # a truncated sequence
+        (b"mealy m\ralphabet a\r\xc3\x28\n", 3),  # lone CRs break lines too
+        (b"mealy m\n\n\n\x80", 4),
+    ],
+)
+def test_an_undecodable_byte_is_numbered_as_the_parser_numbers_lines(tmp_path, data, line):
+    path = tmp_path / "bad.aut"
+    path.write_bytes(data)
+    with pytest.raises(ParseError) as exc:
+        parse_file(path)
+    assert exc.value.line == line
+
+
+def test_line_endings_do_not_change_line_numbers(tmp_path):
+    text = "mealy m\nalphabet a\nstates q\nt q a a r\nend\n"
+    with pytest.raises(ParseError) as lf:
+        parse_text(text)
+    for newline in ("\r\n", "\r"):
+        path = tmp_path / "m.aut"
+        path.write_bytes(text.replace("\n", newline).encode())
+        with pytest.raises(ParseError) as other:
+            parse_file(path)
+        assert other.value.line == lf.value.line == 4
+
+
 def test_comments_and_blank_lines_everywhere():
     text = (
         "\n\n% leading comment\nmealy m % trailing\n"
