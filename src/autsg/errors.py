@@ -2,8 +2,8 @@
 
 Everything raised on purpose derives from AutomatonError so callers (and the
 CLI) can catch one base class for "bad input or bad usage" and let genuine
-bugs propagate. AutomatonError is a ValueError, as json.JSONDecodeError is;
-a sequence item that is not a str or a SignedState raises TypeError.
+bugs propagate. AutomatonError is a ValueError, as json.JSONDecodeError is,
+and a value of the wrong type, such as a sequence item, raises it too.
 """
 
 from __future__ import annotations
@@ -58,10 +58,13 @@ class LeftEdgeViolated(AutomatonError):
 
 
 class ParseError(AutomatonError):
-    """A text block could not be parsed; carries a line number when known."""
+    """A text block could not be parsed; carries a line number when known,
+    and file, the included file that holds the line, named first if given."""
 
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
+    def __init__(self, message: str, line: int | None = None, file: str | None = None):
+        self.line, self.file, self.reason = line, file, message
         if line is not None:
             message = f"line {line}: {message}"
+        if file is not None:
+            message = f"{file}: {message}"
         super().__init__(message)

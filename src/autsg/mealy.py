@@ -143,7 +143,7 @@ def _coerce_item(item: SeqItem) -> SignedState:
         return item
     if isinstance(item, str):
         return SignedState(item)
-    raise TypeError(f"sequence item must be SignedState or str, got {item!r}")
+    raise AutomatonError(f"sequence item must be SignedState or str, got {item!r}")
 
 
 @dataclass(frozen=True)

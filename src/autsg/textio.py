@@ -37,7 +37,8 @@ makes the object. A ParseError names its line: a line's own fault names
 that line, a block its constructor rejects names the first line using a
 token the block does not declare, or else the head line, an instance names
 the automaton, lhs, rhs or constraint line whose name does not resolve, and
-bytes that are not UTF-8 name the line of the first one in their file.
+bytes that are not UTF-8 name the line of the first one and their file. An
+included file's other errors start with its include path: "b.aut: line 4".
 
 Serializers emit blocks with sorted alphabets, states and transitions, so
 output is deterministic; they refuse tokens that would not survive a parse
@@ -174,10 +175,14 @@ def _parse_into(
             if target not in seen:
                 seen.add(target)
                 try:
-                    text2 = _read_text(target)
+                    _parse_into(doc, _read_text(target), target.parent, seen)
                 except OSError as exc:
                     raise ParseError(f"cannot include {toks[1]!r}: {exc}", lineno) from exc
-                _parse_into(doc, text2, target.parent, seen)
+                except ParseError as exc:
+                    # its message names the file already
+                    if exc.file is not None or isinstance(exc.__cause__, UnicodeDecodeError):
+                        raise
+                    raise ParseError(exc.reason, exc.line, toks[1]) from exc
         elif head in _BLOCKS:
             _read_block(doc, rows, lineno, toks)
         else:

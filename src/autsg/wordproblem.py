@@ -6,27 +6,28 @@ every word in the constraint intersection. Partial semantics: two sides agree
 on a word when both are undefined, or both are defined with equal outputs;
 a defined/undefined asymmetry is a difference.
 
-decide() runs a breadth-first search over joint configurations
-(per-side item states or a dead marker, one subset per constraint acceptor,
-and a divergence flag). A configuration witnesses inequality when every
-acceptor subset meets its final states and either both sides are alive with
-diverged outputs or exactly one side is alive. Deduplication is sound because
-the witness predicate and the successor relation depend only on the
-configuration, and breadth-first order with letter-sorted expansion makes the
-returned witness the length-then-lex least one. A letter that every state
-emits on itself staying put, and on which every acceptor state steps to itself
-alone, maps each configuration to itself: both sides emit it, and an inverted
-~q stays too, as q emits it on that letter alone or the instance was rejected
-when built. Its child is always stored already, so the search skips that
-letter from depth 4 on. This module only searches:
-how a side consumes a letter (mealy._thread) and how a constraint subset
-steps (mealy._subset_step) are the kernels in mealy.py, and so is the
-representation of the sides (mealy._sides): tuples of signed-state ints on
-the automaton's table, or of block ids on its power table, where a block id
-stands for one tuple of signed states, so the configurations correspond one
-to one either way. Each step records both sides' output letters, so the
-walk back along the parent chain that rebuilds the witness also yields the
-sides' values on it.
+decide() runs a breadth-first search over joint configurations (per-side item
+states or a dead marker, one subset per constraint acceptor, and a divergence
+flag). A configuration witnesses inequality when every acceptor subset meets
+its final states and either both sides are alive with diverged outputs or
+exactly one side is alive. Deduplication is sound because the witness
+predicate and the successor relation depend only on the configuration, and
+breadth-first order with letter-sorted expansion makes the returned witness
+the length-then-lex least one. The subsets step once per subsets tuple and
+letter, into the row the first config with that tuple builds. A letter that
+every state emits on itself staying put, and on which every acceptor state
+steps to itself alone, maps each configuration to itself: both sides emit it,
+and an inverted ~q stays too, as q emits it on that letter alone or the
+instance was rejected when built. Its child is always stored already, so the
+search skips that letter from depth 4 on, with rows built anew. This module
+only searches: how a side consumes a letter (mealy._thread) and how a
+constraint subset steps (mealy._subset_step) are the kernels in mealy.py, and
+so is the representation of the sides (mealy._sides): tuples of signed-state
+ints on the automaton's table, or of block ids on its power table, where a
+block id stands for one tuple of signed states, so the configurations
+correspond one to one either way. Each step records both sides' output
+letters, so the walk back along the parent chain that rebuilds the witness
+also yields the sides' values on it.
 
 oracle_decide() answers the same question bounded by a word length. Its
 default implementation is the same deduplicated search cut at that depth,
@@ -147,16 +148,6 @@ def config_bound(inst: WordProblemInstance) -> int:
     return bound
 
 
-def _is_witness(cfg, finals) -> bool:
-    lhs, rhs, subs, diverged = cfg
-    for sub, fin in zip(subs, finals):
-        if not (sub & fin):
-            return False
-    if lhs is not None and rhs is not None:
-        return diverged
-    return True  # exactly one alive; both-dead configs are never enqueued
-
-
 def _witness_verdict(letters: list, parents: dict, node) -> Verdict:
     """Walk the parent chain back from the witnessing config node: the
     letters read are the witness, and each alive side's outputs its value."""
@@ -184,8 +175,11 @@ def _search(
     step_maps = [acc._steps for acc in accs]
     # from depth 4 on, only the letters whose child may differ from its config
     # (module docstring): the many small searches that end sooner skip the test
-    moves, skip_at = list(enumerate(base.letters)), 4
+    letters, skip_at = list(enumerate(base.letters)), 4
     finals = [acc.final for acc in accs]
+    # subsets tuple -> (a, next subsets tuple, whether each meets its finals)
+    # per letter on which no subset dies, built when the tuple is first popped
+    moves: dict = {}
     init = (lhs, rhs, tuple(acc.initial for acc in accs), False)
     # config -> (parent config, letter read, lhs output, rhs output)
     parents: dict = {init: None}
@@ -196,20 +190,20 @@ def _search(
             continue
         if depth == skip_at:
             skip_at = None
-            moves = [
-                (a, letter) for a, letter in moves if not base.fixes(a)
+            letters = [
+                (a, letter) for a, letter in letters if not base.fixes(a)
                 or any(acc._steps.get((q, letter)) != {q} for acc in accs for q in acc.states)
             ]
+            moves.clear()
         lhs, rhs, subs, diverged = cfg
-        for a, letter in moves:
-            new_subs = []
-            for m, sub in zip(step_maps, subs):
-                nxt = _subset_step(m, sub, letter)
-                if not nxt:
-                    break
-                new_subs.append(nxt)
-            if len(new_subs) < len(subs):
-                continue
+        row = moves.get(subs)
+        if row is None:
+            row = moves[subs] = []
+            for a, letter in letters:
+                nxt = tuple(map(_subset_step, step_maps, subs, itertools.repeat(letter)))
+                if all(nxt):
+                    row.append((a, nxt, not any(map(frozenset.isdisjoint, nxt, finals))))
+        for a, subs2, accepting in row:
             # a dead side (None) stays dead; a side dies where it is undefined
             lhs2 = rhs2 = out_l = out_r = None
             if lhs is not None:
@@ -222,15 +216,12 @@ def _search(
                 rhs2 = None if out_r is None else tuple(rhs2)
             if lhs2 is None and rhs2 is None:
                 continue
-            if lhs2 is not None and rhs2 is not None:
-                diverged2 = diverged or (out_l != out_r)
-            else:
-                diverged2 = False
-            child = (lhs2, rhs2, tuple(new_subs), diverged2)
+            diverged2 = lhs2 is not None and rhs2 is not None and (diverged or out_l != out_r)
+            child = (lhs2, rhs2, subs2, diverged2)
             if child in parents:
                 continue
             parents[child] = (cfg, a, out_l, out_r)
-            if _is_witness(child, finals):
+            if accepting and (diverged2 or lhs2 is None or rhs2 is None):
                 return _witness_verdict(table.letters, parents, child)
             if max_configs is not None and len(parents) > max_configs:
                 raise ConfigBudgetExceeded(

@@ -314,6 +314,17 @@ def test_bytes_that_are_not_utf8_exit_2_naming_their_line(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: line 2: bad.inst is not UTF-8")
 
 
+def test_an_error_in_an_included_file_names_that_file(tmp_path, capsys):
+    # line 4 of both files: the include line of a.aut, the bad target of b.aut
+    _write(tmp_path, "b.aut", "mealy m\nalphabet a\nstates q\nt q a a r\nend\n")
+    a = _write(tmp_path, "a.aut", "% one\n% two\n% three\ninclude b.aut\n")
+    message = "line 4: transition target 'r' is not a declared state\n"
+    assert run(["check", a]) == 2
+    assert capsys.readouterr().err == f"error: b.aut: {message}"
+    assert run(["check", str(tmp_path / "b.aut")]) == 2
+    assert capsys.readouterr().err == f"error: {message}"
+
+
 def test_a_value_error_that_is_not_an_input_error_propagates(tmp_path, monkeypatch):
     f = _write(tmp_path, "sep.inst", serialize_instance(separation_instance("dual-adding", 2)))
     assert run(["decide", f]) == 10

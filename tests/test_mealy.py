@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from autsg import (
     Acceptor,
+    AutomatonError,
     Defined,
     MealyAutomaton,
     NotInverseDeterministic,
@@ -440,6 +441,18 @@ def test_state_token_errors_name_the_bad_token(bad):
             with pytest.raises(ValueError) as exc:
                 make(["a", "~b"], states)
             assert str(exc.value) == "letter token may not begin with '~': '~b'"
+
+
+@pytest.mark.parametrize("bad", [3, None, ("q",)])
+def test_a_sequence_item_of_the_wrong_type_is_an_automaton_error(bad):
+    # as a token of the wrong type is: one error family for a wrong type
+    message = f"sequence item must be SignedState or str, got {bad!r}"
+    for make in (lambda: StateSequence([bad]), lambda: act_word(ADDING, ["+0", bad], "0")):
+        with pytest.raises(AutomatonError) as exc:
+            make()
+        assert str(exc.value) == message
+    with pytest.raises(AutomatonError, match="must be a non-empty string"):
+        MealyAutomaton("m", ["a", bad], ["q"], {})
 
 
 def test_transitions_do_not_follow_the_dict_they_were_built_from():

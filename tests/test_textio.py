@@ -285,6 +285,34 @@ def test_include_errors(tmp_path):
         parse_file(main)
 
 
+def test_an_included_file_names_the_file_of_its_errors(tmp_path):
+    # each error names the file that holds its line, as the include line
+    # wrote it, or no file when that is the file parsed
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "b.aut").write_text(
+        "mealy m\nalphabet a\nstates q\nt q a a r\nend\n", encoding="utf-8"
+    )
+    (tmp_path / "sub" / "mid.aut").write_text("% mid\ninclude b.aut\n", encoding="utf-8")
+    gone = "% gone\n% gone\ninclude nosuch.aut\n"
+    (tmp_path / "sub" / "gone.aut").write_text(gone, encoding="utf-8")
+    (tmp_path / "sub" / "bad.aut").write_bytes(NOT_UTF8)
+    (tmp_path / "sub" / "to-bad.aut").write_text("include bad.aut\n", encoding="utf-8")
+    cases = [
+        ("include sub/b.aut\n", "sub/b.aut", 4, "transition target 'r' is not a declared state"),
+        ("include sub/mid.aut\n", "b.aut", 4, "transition target 'r' is not a declared state"),
+        ("include sub/gone.aut\n", "sub/gone.aut", 3, "cannot include 'nosuch.aut'"),
+        ("% x\ninclude sub/to-bad.aut\n", None, 2, "bad.aut is not UTF-8"),
+    ]
+    main = tmp_path / "main.aut"
+    for text, file, line, reason in cases:
+        main.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError) as exc:
+            parse_file(main)
+        assert (exc.value.file, exc.value.line) == (file, line)
+        prefix = f"line {line}: " if file is None else f"{file}: line {line}: "
+        assert str(exc.value).startswith(prefix + reason)
+
+
 # 0xff is never UTF-8; on line 2, after a comment line
 NOT_UTF8 = b"% a comment\nmealy m \xff\nalphabet a\nstates q\nend\n"
 

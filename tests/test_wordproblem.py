@@ -41,7 +41,8 @@ from autsg import (
 )
 from autsg.mealy import BOTTOM_LETTER
 from autsg.reductions import DfaList, reduce_dfa_emptiness, reduce_dfa_intersection
-from helpers import S, W, random_dfa, rename_states
+from autsg.turing import TmReductionParams, _reduce_quotient
+from helpers import SCANNER, S, W, random_dfa, rename_states
 
 ADDING = build_gadget("adding")
 FREE_PARTIAL = build_gadget("free-partial")
@@ -672,3 +673,97 @@ def test_a_letter_that_moves_a_state_is_kept():
     verdict = decide(inst)
     assert verdict.witness == W("a" * (DEEP - 1) + "ba")
     assert oracle_decide(inst, DEEP + 1, naive=True) == verdict
+
+
+# The search steps the constraint subsets once per tuple of subsets and
+# letter, into a row that every later configuration with that tuple reads.
+# These tests draw several constraints over the same letters whose subsets
+# repeat, so that one constraint's subset stands next to different subsets
+# of another, and pin the search's size on the paper's constrained instance.
+
+ROW_ORACLE_LEN = 4
+ROW_BUDGET = 4000
+
+
+def _small_constraint(rng: random.Random, name: str, alphabet) -> Acceptor:
+    """A 2- or 3-state NFA that steps on most letters to one or two states
+    of few, so that its subsets repeat; it may die on a letter."""
+    states = ["s0", "s1", "s2"][: rng.randint(2, 3)]
+    trans = {
+        (q, c, p)
+        for q in states
+        for c in alphabet
+        if rng.random() < 0.85
+        for p in rng.sample(states, rng.choice((1, 1, 2)))
+    }
+    finals = rng.sample(states, rng.randint(1, len(states) - 1))
+    return Acceptor(name, alphabet, states, trans, ["s0"], finals)
+
+
+def _multi_constraint_instance(rng: random.Random) -> WordProblemInstance:
+    """A random instance over x and y, as _random_instance draws them, under
+    2 or 3 small constraints."""
+    states = [f"q{i}" for i in range(rng.randint(1, 3))]
+    aut = _random_automaton(rng, states, ["x", "y"])
+    inv_ok = check_properties(aut).inverse_deterministic
+
+    def side():
+        items = rng.choices(states, k=rng.randint(0, 2))
+        return S(*[f"~{q}" if inv_ok and rng.random() < 0.3 else q for q in items])
+
+    lhs, rhs = side(), side()
+    constraints = [
+        _small_constraint(rng, f"c{k}", aut.alphabet) for k in range(rng.randint(2, 3))
+    ]
+    return WordProblemInstance(aut, lhs, rhs, constraints)
+
+
+def test_rows_of_several_constraints_keep_every_verdict():
+    rng = random.Random(2817)
+    decided = short = three = accepting_late = 0
+    for _ in range(500):
+        inst = _multi_constraint_instance(rng)
+        naive = oracle_decide(inst, ROW_ORACLE_LEN, naive=True)
+        assert oracle_decide(inst, ROW_ORACLE_LEN) == naive
+        try:
+            verdict = decide(inst, max_configs=ROW_BUDGET)
+        except ConfigBudgetExceeded:
+            continue
+        decided += 1
+        three += len(inst.constraints) == 3
+        assert decide(_unskipped(inst), max_configs=2 * ROW_BUDGET) == verdict
+        if verdict.kind == NOT_EQUAL:
+            w = verdict.witness
+            values = [act_word(inst.automaton, side, w) for side in (inst.lhs, inst.rhs)]
+            values = [v.output if isinstance(v, Defined) else UNDEFINED for v in values]
+            assert values == [verdict.lhs_value, verdict.rhs_value] and values[0] != values[1]
+            assert all(acceptor_accepts(acc, w) for acc in inst.constraints)
+            # a prefix on which the sides already differ, but that some
+            # constraint rejects: the witness waited for the constraints
+            accepting_late += any(
+                not all(acceptor_accepts(acc, w[:k]) for acc in inst.constraints)
+                and act_word(inst.automaton, inst.lhs, w[:k])
+                != act_word(inst.automaton, inst.rhs, w[:k])
+                for k in range(1, len(w))
+            )
+        if verdict.kind == NOT_EQUAL and len(verdict.witness) <= ROW_ORACLE_LEN:
+            short += 1
+            assert naive == verdict
+        else:
+            assert naive.kind == EQUAL and naive.bounded
+    assert decided > 480 and short > 150 and three > 200 and accepting_late > 50
+
+
+# the group-variant Scanner reduction at p = 3, input a a, as reduce tm
+# prints it, under its one constraint: (configs, depth) at two budgets
+# between the 25 and 1,180 that tests/test_search_size.py pins
+SCAN_GROUP_AT_BUDGET = {500: (501, 16), 1000: (1001, 26)}
+
+
+@pytest.mark.parametrize("budget", sorted(SCAN_GROUP_AT_BUDGET))
+def test_rows_keep_the_constrained_search_size(budget):
+    params = TmReductionParams(p_val=3, input_word=("a", "a"), group_variant=True)
+    inst = _reduce_quotient(SCANNER, params)
+    with pytest.raises(ConfigBudgetExceeded) as exc:
+        decide(inst, max_configs=budget)
+    assert (exc.value.configs, exc.value.depth) == SCAN_GROUP_AT_BUDGET[budget]
