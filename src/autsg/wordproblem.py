@@ -8,29 +8,29 @@ a defined/undefined asymmetry is a difference.
 
 decide() runs a breadth-first search over joint configurations (per-side item
 states or a dead marker, one subset per constraint acceptor, and a divergence
-flag). A configuration witnesses inequality when every acceptor subset meets
-its final states and either both sides are alive with diverged outputs or
-exactly one side is alive. Deduplication is sound because the witness
-predicate and the successor relation depend only on the configuration, and
-breadth-first order with letter-sorted expansion makes the returned witness
-the length-then-lex least one. The subsets step once per subsets tuple and
+flag), one level at a time. A configuration witnesses inequality when every
+acceptor subset meets its final states and either both sides are alive with
+diverged outputs or exactly one side is alive. Deduplication is sound because
+the witness predicate and the successor relation depend only on the
+configuration, and breadth-first order with letter-sorted expansion makes the
+returned witness the length-then-lex least one. Each stored configuration has
+one node: itself, its parent's node, the letter read and both sides' output
+letters, so the walk back along the node chain that rebuilds the witness also
+yields the sides' values on it. The subsets step once per subsets tuple and
 letter, into the row the first config with that tuple builds. A letter that
 every state emits on itself staying put, and on which every acceptor state
 steps to itself alone, maps each configuration to itself: both sides emit it,
 and an inverted ~q stays too, as q emits it on that letter alone or the
 instance was rejected when built. Its child is always stored already, so the
-search skips that letter from depth 4 on, with rows built anew. This module
-only searches: how a side consumes a letter (mealy._thread) and how a
-constraint subset steps (mealy._subset_step) are the kernels in mealy.py, and
-so is the representation of the sides (mealy._sides): tuples of signed-state
-ints on the automaton's table, or of block ids on its power table, where a
-block id stands for one tuple of signed states, so the configurations
-correspond one to one either way. Each step records both sides' output
-letters, so the walk back along the parent chain that rebuilds the witness
-also yields the sides' values on it.
+search skips that letter from level 4 on, with rows built anew. This module
+only searches: the kernels that step a side (mealy._thread) and a constraint
+subset (mealy._subset_step) are in mealy.py, as is mealy._sides, which gives
+the sides as tuples of signed-state ints on the automaton's table or of block
+ids on its power table, one id per tuple of signed states, so the
+configurations correspond one to one either way.
 
 oracle_decide() answers the same question bounded by a word length. Its
-default implementation is the same deduplicated search cut at that depth,
+default implementation is the same deduplicated search cut at that level,
 which returns results bit-identical to literal length-then-lex enumeration
 (if two words share a configuration, every extension of the earlier word
 precedes the same extension of the later one, so pruning the later word never
@@ -42,8 +42,8 @@ from __future__ import annotations
 
 import enum
 import itertools
-from collections import deque
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable
 
 from .errors import AutomatonError, ConfigBudgetExceeded
@@ -99,10 +99,7 @@ class WordProblemInstance:
         rhs: StateSequence | Iterable[SeqItem],
         constraints: Iterable[Acceptor] = (),
     ):
-        if not isinstance(lhs, StateSequence):
-            lhs = StateSequence(lhs)
-        if not isinstance(rhs, StateSequence):
-            rhs = StateSequence(rhs)
+        lhs, rhs = (s if isinstance(s, StateSequence) else StateSequence(s) for s in (lhs, rhs))
         constraints = tuple(constraints)
         for seq in (lhs, rhs):
             for item in seq:
@@ -142,23 +139,21 @@ def config_bound(inst: WordProblemInstance) -> int:
     one of |Q| states or dead, each acceptor contributes its subset lattice,
     and the divergence flag doubles everything."""
     n = len(inst.lhs) + len(inst.rhs)
-    bound = (len(inst.automaton.states) + 1) ** n * 2
-    for acc in inst.constraints:
-        bound *= 2 ** len(acc.states)
-    return bound
+    subsets = sum(len(acc.states) for acc in inst.constraints)
+    return (len(inst.automaton.states) + 1) ** n * 2 ** (subsets + 1)
 
 
-def _witness_verdict(letters: list, parents: dict, node) -> Verdict:
-    """Walk the parent chain back from the witnessing config node: the
-    letters read are the witness, and each alive side's outputs its value."""
-    alive = (True, node[0] is not None, node[1] is not None)
+def _witness_verdict(letters: list, node) -> Verdict:
+    """Walk the node chain back from the witnessing node: the letters read
+    are the witness, and each alive side's outputs its value."""
+    alive = (True, node[0][0] is not None, node[0][1] is not None)
     steps = []
-    while parents[node] is not None:
-        node, *step = parents[node]
-        steps.append(step)
+    while node[1] is not None:
+        steps.append(node)
+        node = node[1]
     word, lhs_value, rhs_value = (
-        tuple(letters[x] for x in column) if ok else UNDEFINED
-        for column, ok in zip(zip(*reversed(steps)), alive)
+        tuple(map(letters.__getitem__, map(itemgetter(k), reversed(steps)))) if ok else UNDEFINED
+        for k, ok in zip((2, 3, 4), alive)
     )
     return Verdict(NOT_EQUAL, word, lhs_value, rhs_value)
 
@@ -173,80 +168,86 @@ def _search(
     table, lhs, rhs = _sides(base, inst.lhs, inst.rhs)
     accs = inst.constraints
     step_maps = [acc._steps for acc in accs]
-    # from depth 4 on, only the letters whose child may differ from its config
-    # (module docstring): the many small searches that end sooner skip the test
-    letters, skip_at = list(enumerate(base.letters)), 4
+    letters = list(enumerate(base.letters))
     finals = [acc.final for acc in accs]
     # subsets tuple -> (a, next subsets tuple, whether each meets its finals)
-    # per letter on which no subset dies, built when the tuple is first popped
+    # per letter on which no subset dies, built when the tuple is first met
     moves: dict = {}
     init = (lhs, rhs, tuple(acc.initial for acc in accs), False)
-    # config -> (parent config, letter read, lhs output, rhs output)
-    parents: dict = {init: None}
-    queue = deque([(init, 0)])
-    while queue:
-        cfg, depth = queue.popleft()
-        if max_depth is not None and depth >= max_depth:
-            continue
-        if depth == skip_at:
-            skip_at = None
+    # every stored config, and per config one node (config, parent node,
+    # letter read, lhs output, rhs output); the root node is (init, None)
+    seen = {init}
+    level, depth = [(init, None)], 0
+    while level and (max_depth is None or depth < max_depth):
+        # from level 4 on, only the letters whose child may differ from its config
+        # (module docstring): the many small searches that end sooner skip the test
+        if depth == 4:
             letters = [
                 (a, letter) for a, letter in letters if not base.fixes(a)
                 or any(acc._steps.get((q, letter)) != {q} for acc in accs for q in acc.states)
             ]
             moves.clear()
-        lhs, rhs, subs, diverged = cfg
-        row = moves.get(subs)
-        if row is None:
-            row = moves[subs] = []
-            for a, letter in letters:
-                nxt = tuple(map(_subset_step, step_maps, subs, itertools.repeat(letter)))
-                if all(nxt):
-                    row.append((a, nxt, not any(map(frozenset.isdisjoint, nxt, finals))))
-        for a, subs2, accepting in row:
-            # a dead side (None) stays dead; a side dies where it is undefined
-            lhs2 = rhs2 = out_l = out_r = None
-            if lhs is not None:
-                lhs2 = list(lhs)
-                out_l = _thread(table, lhs2, a)
-                lhs2 = None if out_l is None else tuple(lhs2)
-            if rhs is not None:
-                rhs2 = list(rhs)
-                out_r = _thread(table, rhs2, a)
-                rhs2 = None if out_r is None else tuple(rhs2)
-            if lhs2 is None and rhs2 is None:
-                continue
-            diverged2 = lhs2 is not None and rhs2 is not None and (diverged or out_l != out_r)
-            child = (lhs2, rhs2, subs2, diverged2)
-            if child in parents:
-                continue
-            parents[child] = (cfg, a, out_l, out_r)
-            if accepting and (diverged2 or lhs2 is None or rhs2 is None):
-                return _witness_verdict(table.letters, parents, child)
-            if max_configs is not None and len(parents) > max_configs:
-                raise ConfigBudgetExceeded(
-                    f"more than {max_configs} configurations explored",
-                    configs=len(parents),
-                    depth=depth + 1,
-                )
-            queue.append((child, depth + 1))
+        depth += 1
+        frontier, level = level, []
+        for node in frontier:
+            lhs, rhs, subs, diverged = node[0]
+            row = moves.get(subs)
+            if row is None:
+                row = moves[subs] = []
+                for a, letter in letters:
+                    nxt = tuple(map(_subset_step, step_maps, subs, itertools.repeat(letter)))
+                    if all(nxt):
+                        row.append((a, nxt, not any(map(frozenset.isdisjoint, nxt, finals))))
+            for a, subs2, accepting in row:
+                # a dead side (None) stays dead; a side dies where it is undefined
+                lhs2 = rhs2 = out_l = out_r = None
+                if lhs is not None:
+                    lhs2 = list(lhs)
+                    out_l = _thread(table, lhs2, a)
+                    lhs2 = None if out_l is None else tuple(lhs2)
+                if rhs is not None:
+                    rhs2 = list(rhs)
+                    out_r = _thread(table, rhs2, a)
+                    rhs2 = None if out_r is None else tuple(rhs2)
+                if lhs2 is None and rhs2 is None:
+                    continue
+                diverged2 = lhs2 is not None and rhs2 is not None and (diverged or out_l != out_r)
+                cfg = (lhs2, rhs2, subs2, diverged2)
+                stored = len(seen)
+                seen.add(cfg)
+                if len(seen) == stored:
+                    continue
+                child = (cfg, node, a, out_l, out_r)
+                if accepting and (diverged2 or lhs2 is None or rhs2 is None):
+                    return _witness_verdict(table.letters, child)
+                if max_configs is not None and len(seen) > max_configs:
+                    raise ConfigBudgetExceeded(
+                        f"more than {max_configs} configurations explored",
+                        configs=len(seen), depth=depth,
+                    )
+                level.append(child)
     return Verdict(EQUAL, bounded=max_depth is not None)
+
+
+def _check_bound(name: str, value, least: int) -> None:
+    if type(value) is not int:  # a bool included: True is no bound
+        raise AutomatonError(f"{name} must be an int, not {type(value).__name__}")
+    if value < least:
+        raise AutomatonError(f"{name} must be >= {least}")
 
 
 def decide(inst: WordProblemInstance, max_configs: int | None = None) -> Verdict:
     """Decide the constrained word problem exactly.
 
     Raises ConfigBudgetExceeded when the explored configuration count passes
-    the caller-supplied cap, which must be at least 1; with no cap,
+    the caller-supplied cap, an int of at least 1; with no cap,
     termination follows from the finite configuration space (see config_bound)."""
-    if max_configs is not None and max_configs < 1:
-        raise AutomatonError("max_configs must be >= 1")
+    if max_configs is not None:
+        _check_bound("max_configs", max_configs, 1)
     return _search(inst, max_depth=None, max_configs=max_configs)
 
 
-def oracle_decide(
-    inst: WordProblemInstance, max_len: int, naive: bool = False
-) -> Verdict:
+def oracle_decide(inst: WordProblemInstance, max_len: int, naive: bool = False) -> Verdict:
     """Bounded reference decision.
 
     Semantics: enumerate every word of length <= max_len in length-then-lex
@@ -256,8 +257,7 @@ def oracle_decide(
     the deduplicated search (provably identical results); naive=True performs
     the literal enumeration and is only sensible for small bounds.
     """
-    if max_len < 0:
-        raise AutomatonError("max_len must be >= 0")
+    _check_bound("max_len", max_len, 0)
     if not naive:
         return _search(inst, max_depth=max_len, max_configs=None)
     automaton = inst.automaton

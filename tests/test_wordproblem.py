@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from autsg import (
     Acceptor,
+    AutomatonError,
     ConfigBudgetExceeded,
     Defined,
     EQUAL,
@@ -37,6 +38,7 @@ from autsg import (
     decide,
     minimize,
     oracle_decide,
+    separation_instance,
     union,
 )
 from autsg.mealy import BOTTOM_LETTER
@@ -211,6 +213,46 @@ def test_oracle_naive_matches_default_mode():
 def test_oracle_rejects_negative_bound():
     with pytest.raises(ValueError):
         oracle_decide(WordProblemInstance(ADDING, S(), S()), -1)
+
+
+@pytest.mark.parametrize(
+    "bound,kind", [("3", "str"), (2.5, "float"), (True, "bool"), (False, "bool")]
+)
+def test_bounds_that_are_not_ints_are_rejected(bound, kind):
+    # unchecked, a str reaches a comparison and raises TypeError, a bool
+    # passes as 1 or 0, and a float cuts the search at the next int up
+    inst = WordProblemInstance(D, S("0", "0", "0"), S("0", "0"))
+    with pytest.raises(AutomatonError, match=f"^max_configs must be an int, not {kind}$"):
+        decide(inst, max_configs=bound)
+    with pytest.raises(AutomatonError, match=f"^max_len must be an int, not {kind}$"):
+        oracle_decide(inst, bound)
+    with pytest.raises(AutomatonError, match=f"^max_len must be an int, not {kind}$"):
+        oracle_decide(inst, bound, naive=True)
+
+
+@pytest.mark.parametrize("name", ["dual-adding", "dual-adding-prime"])
+def test_the_longest_witnesses_keep_their_values(name):
+    # 2**15 letters: the node chain that rebuilds the witness also gives the
+    # sides' values, which must be what each side does to the witness
+    inst = separation_instance(name, 16)
+    verdict = decide(inst)
+    assert len(verdict.witness) == 2**15
+    for side, value in ((inst.lhs, verdict.lhs_value), (inst.rhs, verdict.rhs_value)):
+        result = act_word(inst.automaton, side, verdict.witness)
+        assert isinstance(result, Defined) and result.output == value
+
+
+@pytest.mark.parametrize("name", ["dual-adding", "dual-adding-prime"])
+@pytest.mark.parametrize("n", range(4, 8))
+def test_the_bounded_search_cuts_at_the_last_level(name, n):
+    # the default oracle expands no level at or past max_len: one letter
+    # short of the 2**(n-1)-letter witness it sees nothing, at its length
+    # it gives decide's verdict
+    inst = separation_instance(name, n)
+    verdict = decide(inst)
+    assert len(verdict.witness) == 2 ** (n - 1)
+    assert oracle_decide(inst, len(verdict.witness) - 1) == Verdict(EQUAL, bounded=True)
+    assert oracle_decide(inst, len(verdict.witness)) == verdict
 
 
 def _random_automaton(rng: random.Random, states, letters, fixed=None) -> MealyAutomaton:
